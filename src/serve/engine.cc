@@ -6,8 +6,10 @@
 #include <utility>
 
 #include "algo/core_maintenance.h"
+#include "serve/protocol.h"
 #include "serve/snapshot.h"
 #include "util/check.h"
+#include "util/timing.h"
 
 namespace ticl {
 
@@ -23,6 +25,16 @@ CacheEntryMeta MetaFor(const Query& query) {
   meta.total_weight_sensitive =
       query.aggregation.kind == Aggregation::kBalancedDensity;
   return meta;
+}
+
+EngineResponse Answered(CachedAnswer answer, bool cache_hit,
+                        double solve_seconds) {
+  EngineResponse response;
+  response.result = std::move(answer.result);
+  response.communities_json = std::move(answer.communities_json);
+  response.cache_hit = cache_hit;
+  response.solve_seconds = solve_seconds;
+  return response;
 }
 
 ResultCacheOptions CacheOptionsFor(const EngineOptions& options) {
@@ -171,9 +183,10 @@ EngineResponse QueryEngine::Run(const Query& query) {
     state = state_;
     generation = generation_;
     if (cache_.enabled()) {
-      if (std::shared_ptr<const SearchResult> cached = cache_.Lookup(key)) {
+      CachedAnswer cached = cache_.Lookup(key);
+      if (cached.result != nullptr) {
         ++stats_.cache_hits;
-        return {std::move(cached), true};
+        return Answered(std::move(cached), true, 0.0);
       }
     }
     pending = cache_.FindPending(key);
@@ -197,16 +210,25 @@ EngineResponse QueryEngine::Run(const Query& query) {
     // Another thread is already solving this exact query (possibly against
     // an older serving state — it was admitted before any swap, so its
     // answer is as valid as ours would have been at arrival time).
-    return {pending->future.get(), true};
+    return Answered(pending->future.get(), true, 0.0);
   }
 
-  std::shared_ptr<SearchResult> result;
+  CachedAnswer answer;
+  double solve_seconds = 0.0;
   try {
     // The test hook lives inside the try so a throwing hook exercises
     // the same retirement path a throwing solver would.
     if (solve_started_hook_for_test_) solve_started_hook_for_test_();
-    result = std::make_shared<SearchResult>(
+    const WallTimer timer;
+    auto result = std::make_shared<const SearchResult>(
         Solve(*state->graph, query, state->solve));
+    solve_seconds = timer.ElapsedSeconds();
+    // The reply bytes are formatted here, once, on the solving thread:
+    // the cache entry, every later hit and every coalesced waiter share
+    // them.
+    answer.communities_json =
+        std::make_shared<const std::string>(FormatCommunitiesJson(*result));
+    answer.result = std::move(result);
   } catch (...) {
     // Solve normally aborts on contract violations, but allocation (or a
     // future solver) can throw. Retire the pending entry and fail its
@@ -226,7 +248,7 @@ EngineResponse QueryEngine::Run(const Query& query) {
     // cache: the delta may have changed this very answer (it stays a
     // plain miss — it did answer its caller).
     if (cache_.enabled() && generation == generation_) {
-      if (cache_.Insert(key, MetaFor(query), result) ==
+      if (cache_.Insert(key, MetaFor(query), answer) ==
           ResultCache::InsertOutcome::kUncacheable) {
         // Reclassify: this solve's answer can never be cached (its charge
         // alone exceeds the whole budget), which the miss counter claimed
@@ -236,8 +258,8 @@ EngineResponse QueryEngine::Run(const Query& query) {
       }
     }
   }
-  pending->promise.set_value(result);
-  return {std::move(result), false};
+  pending->promise.set_value(answer);
+  return Answered(std::move(answer), false, solve_seconds);
 }
 
 std::future<EngineResponse> QueryEngine::Submit(const Query& query) {

@@ -37,8 +37,9 @@
 // seconds of graph work.
 //
 // Thread safety: every public method is safe to call concurrently.
-// Results are handed out as shared_ptr<const SearchResult>; cached
-// entries are shared, never copied per hit. References returned by
+// Results are handed out as shared_ptr<const SearchResult> together with
+// their reply bytes, formatted once per solve; cached entries are shared,
+// never copied or re-formatted per hit. References returned by
 // graph() / core_index() stay valid until the *next* ApplyDelta, not
 // forever — callers that interleave queries with updates should finish
 // reading before applying.
@@ -76,6 +77,10 @@ struct EngineOptions {
   /// entry-count cap would let a few huge results blow the memory budget.
   /// A single result larger than the whole budget is not cached at all
   /// (counted in EngineStats::cache_uncacheable). 0 disables caching.
+  /// Each entry also holds its reply bytes (the formatted "communities"
+  /// JSON a hit is served from), which the charge does not count: about
+  /// 1.5-2x its member charge in memory, since an id costs 4 bytes as a
+  /// VertexId and typically 6-8 as decimal text plus separator.
   std::size_t cache_member_budget = 1u << 20;
   /// Per-entry TTL in milliseconds (0 = cached answers never expire).
   /// Useful when the serving graph is refreshed out of band and bounded
@@ -135,15 +140,20 @@ struct EngineStats {
   std::uint64_t deltas_applied = 0;
 };
 
-/// One answered query. `result` is shared with the cache — never mutated
-/// after construction. `cache_hit` is true when no Solve ran for this
-/// call (a resident entry or a coalesced in-flight miss served it).
+/// One answered query. `result` and `communities_json` (the result's
+/// FormatCommunitiesJson bytes, formatted once by the call that solved
+/// it) are shared with the cache and with coalesced waiters — never
+/// mutated after construction. `cache_hit` is true when no Solve ran for
+/// this call (a resident entry or a coalesced in-flight miss served it);
+/// `solve_seconds` is the time this call spent in Solve(), 0 on a hit.
 /// `error` is only ever non-empty on the callback Submit path: it
 /// carries the message of an exception Run() threw (result is null
 /// then). The future/Run paths propagate exceptions instead.
 struct EngineResponse {
   std::shared_ptr<const SearchResult> result;
+  std::shared_ptr<const std::string> communities_json;
   bool cache_hit = false;
+  double solve_seconds = 0.0;
   std::string error;
 };
 

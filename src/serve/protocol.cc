@@ -1,11 +1,16 @@
 #include "serve/protocol.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
+
+#include "util/check.h"
 
 namespace ticl {
 
@@ -436,6 +441,38 @@ bool ParseAdminFields(const std::vector<Field>& fields,
   return false;
 }
 
+// -- Reply formatting -------------------------------------------------------
+//
+// A result's "communities" bytes are formatted once per solve (and then
+// shared by every cache hit), so the formatter sizes its output exactly
+// and writes it in place with std::to_chars. to_chars with general
+// format and precision 17 is specified as printf's %.17g, and the integer
+// overload as %u, so the bytes equal those of an snprintf formatter.
+
+constexpr std::string_view kInfluenceOpen = "{\"influence\": ";
+constexpr std::string_view kMembersOpen = ", \"members\": [";
+constexpr std::string_view kCommunityClose = "]}";
+constexpr std::string_view kSeparator = ", ";
+
+/// Enough for any %.17g double: sign, 17 digits, point and "e-308".
+constexpr std::size_t kMaxInfluenceChars = 32;
+
+char* Put(char* at, std::string_view text) {
+  std::memcpy(at, text.data(), text.size());
+  return at + text.size();
+}
+
+/// Writes %.17g of `value` at `at`; returns the end of what it wrote.
+char* PutInfluence(char* at, char* end, double value) {
+  return std::to_chars(at, end, value, std::chars_format::general, 17).ptr;
+}
+
+std::size_t DecimalDigits(std::uint32_t value) {
+  std::size_t digits = 1;
+  for (std::uint64_t bound = 10; value >= bound; bound *= 10) ++digits;
+  return digits;
+}
+
 }  // namespace
 
 std::string JsonEscape(std::string_view text) {
@@ -511,39 +548,82 @@ bool ParseQueryLine(const std::string& line, std::size_t line_number,
 }
 
 std::string FormatCommunitiesJson(const SearchResult& result) {
-  std::string out = "[";
-  char buffer[64];
-  for (std::size_t i = 0; i < result.communities.size(); ++i) {
-    const Community& c = result.communities[i];
-    if (i != 0) out += ", ";
-    std::snprintf(buffer, sizeof(buffer), "{\"influence\": %.17g, ",
-                  c.influence);
-    out += buffer;
-    out += "\"members\": [";
-    for (std::size_t j = 0; j < c.members.size(); ++j) {
-      if (j != 0) out += ", ";
-      std::snprintf(buffer, sizeof(buffer), "%u", c.members[j]);
-      out += buffer;
-    }
-    out += "]}";
+  const std::vector<Community>& communities = result.communities;
+  char influence[kMaxInfluenceChars];
+  std::size_t size = 2;  // "[" and "]"
+  for (std::size_t i = 0; i < communities.size(); ++i) {
+    const VertexList& members = communities[i].members;
+    if (i != 0) size += kSeparator.size();
+    const char* influence_end = PutInfluence(
+        influence, influence + kMaxInfluenceChars, communities[i].influence);
+    size += kInfluenceOpen.size() +
+            static_cast<std::size_t>(influence_end - influence) +
+            kMembersOpen.size() + kCommunityClose.size();
+    if (!members.empty()) size += kSeparator.size() * (members.size() - 1);
+    for (const VertexId v : members) size += DecimalDigits(v);
   }
-  out += "]";
+
+  std::string out(size, '\0');
+  char* at = out.data();
+  char* const end = at + size;
+  *at++ = '[';
+  for (std::size_t i = 0; i < communities.size(); ++i) {
+    const VertexList& members = communities[i].members;
+    if (i != 0) at = Put(at, kSeparator);
+    at = Put(at, kInfluenceOpen);
+    at = PutInfluence(at, end, communities[i].influence);
+    at = Put(at, kMembersOpen);
+    for (std::size_t j = 0; j < members.size(); ++j) {
+      if (j != 0) at = Put(at, kSeparator);
+      at = std::to_chars(at, end, members[j]).ptr;
+    }
+    at = Put(at, kCommunityClose);
+  }
+  *at++ = ']';
+  TICL_CHECK(at == end);
+  return out;
+}
+
+std::string FormatResultLine(const std::string& id_json, const Query& query,
+                             std::string_view communities_json,
+                             double solve_seconds, bool cached) {
+  constexpr std::string_view kIdOpen = "{\"id\": ";
+  constexpr std::string_view kQueryOpen = ", \"query\": \"";
+  constexpr std::string_view kCachedOpen = "\", \"cached\": ";
+  constexpr std::string_view kSecondsOpen = ", \"solve_seconds\": ";
+  constexpr std::string_view kCommunitiesOpen = ", \"communities\": ";
+  constexpr std::string_view kLineClose = "}\n";
+  const std::string query_json = JsonEscape(QueryToString(query));
+  const std::string_view flag = cached ? "true" : "false";
+  // %.6f of the largest double: 309 integer digits, point, 6 decimals.
+  char seconds[320];
+  const std::string_view seconds_json(
+      seconds, static_cast<std::size_t>(
+                   std::to_chars(seconds, seconds + sizeof(seconds),
+                                 solve_seconds, std::chars_format::fixed, 6)
+                       .ptr -
+                   seconds));
+
+  std::string out;
+  out.reserve(kIdOpen.size() + id_json.size() + kQueryOpen.size() +
+              query_json.size() + kCachedOpen.size() + flag.size() +
+              kSecondsOpen.size() + seconds_json.size() +
+              kCommunitiesOpen.size() + communities_json.size() +
+              kLineClose.size());
+  out.append(kIdOpen).append(id_json);
+  out.append(kQueryOpen).append(query_json);
+  out.append(kCachedOpen).append(flag);
+  out.append(kSecondsOpen).append(seconds_json);
+  out.append(kCommunitiesOpen).append(communities_json);
+  out.append(kLineClose);
   return out;
 }
 
 std::string FormatResultLine(const std::string& id_json, const Query& query,
                              const SearchResult& result, bool cached) {
-  std::string out = "{\"id\": " + id_json + ", \"query\": \"" +
-                    JsonEscape(QueryToString(query)) + "\", \"cached\": " +
-                    (cached ? "true" : "false");
-  char buffer[64];
-  std::snprintf(buffer, sizeof(buffer), ", \"elapsed_seconds\": %.6f, ",
-                result.stats.elapsed_seconds);
-  out += buffer;
-  out += "\"communities\": ";
-  out += FormatCommunitiesJson(result);
-  out += "}\n";
-  return out;
+  return FormatResultLine(id_json, query, FormatCommunitiesJson(result),
+                          cached ? 0.0 : result.stats.elapsed_seconds,
+                          cached);
 }
 
 std::string FormatErrorLine(const std::string& id_json,

@@ -12,9 +12,14 @@
 //
 // Reply lines:
 //   {"id": "q1", "query": "TIC k=4 r=5 f=sum", "cached": false,
-//    "elapsed_seconds": 0.0123,
-//    "communities": [{"influence": 42.0, "members": [1, 2, 3]}]}
+//    "solve_seconds": 0.012300,
+//    "communities": [{"influence": 42, "members": [1, 2, 3]}]}
 //   {"id": "q1", "error": "...", "kind": "parse"}
+//
+// "solve_seconds" is the solve time this request paid: 0 on a cache hit
+// or a coalesced wait. "communities" is always the last field, so a
+// client can compare two replies' answers byte for byte from
+// `"communities": ` to the end of the line.
 //
 // Unknown request fields are ignored (forward compatibility); unknown or
 // malformed *values* of known fields are hard errors. A network listener
@@ -86,13 +91,21 @@ bool ParseQueryLine(const std::string& line, std::size_t line_number,
                     Query* query, std::string* id_json, std::string* error);
 
 /// The "communities" array payload of a result line:
-/// [{"influence": 42.0, "members": [1, 2, 3]}, ...]. Exposed separately
-/// so tests can compare the answer portion of a wire response
-/// byte-for-byte against an inline Solve() while ignoring the
-/// per-execution fields (cached, elapsed_seconds).
+/// [{"influence": 42, "members": [1, 2, 3]}, ...], influences as %.17g
+/// and ids as %u. The engine formats it once per solve and shares the
+/// bytes with every cache hit; tests compare the answer portion of a wire
+/// response byte-for-byte against an inline Solve() through it.
 std::string FormatCommunitiesJson(const SearchResult& result);
 
-/// One result reply, newline-terminated.
+/// One result reply, newline-terminated, around already formatted
+/// communities bytes. `solve_seconds` is the time this request spent
+/// solving (0 when it was served from the cache or a coalesced solve).
+std::string FormatResultLine(const std::string& id_json, const Query& query,
+                             std::string_view communities_json,
+                             double solve_seconds, bool cached);
+
+/// Formats `result` and wraps it as above; solve_seconds is the result's
+/// own elapsed time unless `cached`, then 0.
 std::string FormatResultLine(const std::string& id_json, const Query& query,
                              const SearchResult& result, bool cached);
 

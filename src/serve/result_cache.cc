@@ -47,29 +47,31 @@ std::chrono::steady_clock::time_point ResultCache::ExpiryFromNow() const {
   return now + std::chrono::milliseconds(ttl_ms_);
 }
 
-std::shared_ptr<const SearchResult> ResultCache::Lookup(
-    const std::string& key) {
+CachedAnswer ResultCache::Lookup(const std::string& key) {
   const auto it = map_.find(key);
-  if (it == map_.end()) return nullptr;
+  if (it == map_.end()) return {};
   if (ttl_ms_ != 0 && Now() >= it->second->expires_at) {
     ++counters_.expired;
     EraseEntry(it->second);
-    return nullptr;
+    return {};
   }
   lru_.splice(lru_.begin(), lru_, it->second);  // bump to MRU
-  if (it->second->result->communities.empty()) ++counters_.negative_hits;
-  return it->second->result;
+  const CachedAnswer& answer = it->second->answer;
+  if (answer.result->communities.empty()) ++counters_.negative_hits;
+  return answer;
 }
 
 ResultCache::InsertOutcome ResultCache::Insert(
     const std::string& key, const CacheEntryMeta& meta,
-    std::shared_ptr<const SearchResult> result) {
+    CachedAnswer answer) {
   TICL_CHECK_MSG(enabled(), "Insert on a disabled cache");
-  TICL_CHECK_MSG(result != nullptr, "cannot cache a null result");
+  TICL_CHECK_MSG(
+      answer.result != nullptr && answer.communities_json != nullptr,
+      "cannot cache a null result or null bytes");
   if (map_.find(key) != map_.end()) return InsertOutcome::kDuplicate;
-  const std::size_t charge = ResultCharge(*result);
+  const std::size_t charge = ResultCharge(*answer.result);
   if (charge > member_budget_) return InsertOutcome::kUncacheable;
-  lru_.push_front(Entry{key, meta, std::move(result), charge,
+  lru_.push_front(Entry{key, meta, std::move(answer), charge,
                         ExpiryFromNow()});
   map_.emplace(key, lru_.begin());
   charge_ += charge;

@@ -9,7 +9,9 @@
 //     memory budget) with optional per-entry TTL and explicit
 //     negative-result entries (zero-community answers are the cheapest
 //     entries there are, and the queries most likely to be repeated
-//     verbatim by probing clients);
+//     verbatim by probing clients). Each entry holds the answer's
+//     "communities" reply bytes, formatted once when its solve finished,
+//     so a hit hands out shared bytes instead of re-formatting;
 //   * the in-flight coalescing map — concurrent misses on one key share a
 //     single Solve through a PendingSolve future.
 //
@@ -136,12 +138,19 @@ struct DeltaImpact {
   }
 };
 
+/// One finished answer: the result and its "communities" reply bytes
+/// (FormatCommunitiesJson, formatted once when the solve finished). Both
+/// are shared, never copied per hit. A miss leaves both null.
+struct CachedAnswer {
+  std::shared_ptr<const SearchResult> result;
+  std::shared_ptr<const std::string> communities_json;
+};
+
 /// A cache miss in flight: later arrivals for the same key wait on the
-/// future instead of re-running Solve.
+/// future instead of re-running Solve, and receive the owner's bytes.
 struct PendingSolve {
-  std::promise<std::shared_ptr<const SearchResult>> promise;
-  std::shared_future<std::shared_ptr<const SearchResult>> future =
-      promise.get_future().share();
+  std::promise<CachedAnswer> promise;
+  std::shared_future<CachedAnswer> future = promise.get_future().share();
 };
 
 class ResultCache {
@@ -155,10 +164,10 @@ class ResultCache {
   /// Insert and account the query as uncacheable.
   bool enabled() const { return member_budget_ > 0; }
 
-  /// Resident entry for `key`, bumped to MRU — or nullptr on a miss. An
-  /// entry past its TTL is erased, counted in counters().expired, and
-  /// reported as a miss.
-  std::shared_ptr<const SearchResult> Lookup(const std::string& key);
+  /// Resident entry for `key`, bumped to MRU — or a null answer on a
+  /// miss. An entry past its TTL is erased, counted in
+  /// counters().expired, and reported as a miss.
+  CachedAnswer Lookup(const std::string& key);
 
   enum class InsertOutcome {
     kInserted,
@@ -169,10 +178,12 @@ class ResultCache {
     kUncacheable,
   };
 
-  /// Inserts and runs the LRU budget sweep. `result` must not be null
-  /// (a negative answer is an empty result, not a null one).
+  /// Inserts and runs the LRU budget sweep. Neither pointer of `answer`
+  /// may be null (a negative answer is an empty result formatted as
+  /// "[]", not a null one). The charge counts members only; the bytes
+  /// ride along.
   InsertOutcome Insert(const std::string& key, const CacheEntryMeta& meta,
-                       std::shared_ptr<const SearchResult> result);
+                       CachedAnswer answer);
 
   /// Wholesale invalidation (the conservative fallback, and the disabled
   /// partial-invalidation path). Not counted as partial_evicted.
@@ -215,7 +226,7 @@ class ResultCache {
   struct Entry {
     std::string key;
     CacheEntryMeta meta;
-    std::shared_ptr<const SearchResult> result;
+    CachedAnswer answer;
     std::size_t charge = 0;
     /// Entry is invalid at/after this instant (time_point::max() = never).
     std::chrono::steady_clock::time_point expires_at;

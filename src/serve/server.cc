@@ -448,9 +448,10 @@ void Server::SubmitQuery(Connection* conn, const ParsedRequest& request) {
   }
   // The callback owns everything it touches: a shared_ptr keeps the
   // completion queue alive past any server teardown, and the reply is
-  // formatted on the worker thread, off the event loop. It fires exactly
-  // once even when the solve throws (null result + error message), so
-  // the in-flight slot is always returned.
+  // built on the worker thread, off the event loop, by splicing the
+  // engine's shared communities bytes (formatted once per solve) into the
+  // line. It fires exactly once even when the solve throws (null result +
+  // error message), so the in-flight slot is always returned.
   engine_->Submit(
       request.query,
       [completions = completions_, conn_id = conn->id,
@@ -458,8 +459,8 @@ void Server::SubmitQuery(Connection* conn, const ParsedRequest& request) {
        query = request.query](EngineResponse response) {
         std::string line =
             response.result != nullptr
-                ? FormatResultLine(id_json, query, *response.result,
-                                   response.cache_hit)
+                ? FormatResultLine(id_json, query, *response.communities_json,
+                                   response.solve_seconds, response.cache_hit)
                 : FormatErrorLine(id_json,
                                   "internal error: " +
                                       (response.error.empty()
@@ -563,7 +564,13 @@ void Server::HandleAdmin(Connection* conn, const ParsedRequest& request) {
 }
 
 void Server::Reply(Connection* conn, std::string line) {
-  conn->out += line;
+  if (conn->pending_out() == 0) {
+    // Nothing queued: adopt the line's buffer instead of copying it.
+    conn->out = std::move(line);
+    conn->out_offset = 0;
+  } else {
+    conn->out += line;
+  }
   if (conn->pending_out() > options_.max_write_buffer_bytes) {
     // Write backpressure: stop consuming requests from a peer that is
     // not consuming replies; the kernel receive buffer then fills and

@@ -14,6 +14,7 @@
 #include "core/verification.h"
 #include "gen/chung_lu.h"
 #include "graph/graph_delta.h"
+#include "serve/protocol.h"
 #include "serve/snapshot.h"
 #include "testing/builders.h"
 
@@ -190,6 +191,13 @@ TEST(QueryEngineTest, CacheHitSharesTheResultObject) {
   const EngineResponse second = engine.Run(q);
   EXPECT_TRUE(second.cache_hit);
   EXPECT_EQ(first.result.get(), second.result.get());
+  // The reply bytes were formatted once, by the miss, and the hit shares
+  // them; only the miss reports solve time.
+  ASSERT_NE(first.communities_json, nullptr);
+  EXPECT_EQ(first.communities_json.get(), second.communities_json.get());
+  EXPECT_EQ(*first.communities_json, FormatCommunitiesJson(*first.result));
+  EXPECT_GT(first.solve_seconds, 0.0);
+  EXPECT_EQ(second.solve_seconds, 0.0);
 
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.queries, 2u);
@@ -362,6 +370,54 @@ TEST(QueryEngineTest, ConcurrentMissesOnSameKeyCoalesceToOneSolve) {
   EXPECT_EQ(stats.cache_hits, 0u);
   EXPECT_EQ(stats.cache_hits + stats.cache_misses + stats.cache_coalesced,
             stats.queries);
+}
+
+TEST(QueryEngineTest, CoalescedWaitersReceiveTheOwnersBytes) {
+  // One owner parked inside its solve, three callers attached to it: all
+  // four answers must point at the one string the owner formatted, and
+  // only the owner reports solve time. The cache is off, so the bytes
+  // travel through the pending future alone.
+  constexpr int kCallers = 4;
+  std::promise<void> release;
+  std::shared_future<void> release_future = release.get_future().share();
+  EngineOptions options;
+  options.num_threads = kCallers;
+  options.cache_member_budget = 0;
+  options.solve_started_hook_for_test = [release_future] {
+    release_future.wait();
+  };
+  QueryEngine engine(TwoTrianglesAndK4(), options);
+
+  Query q;
+  q.k = 2;
+  q.r = 2;
+  std::vector<std::future<EngineResponse>> futures;
+  for (int i = 0; i < kCallers; ++i) futures.push_back(engine.Submit(q));
+  while (engine.stats().cache_coalesced < kCallers - 1) {
+    std::this_thread::yield();
+  }
+  release.set_value();
+
+  std::vector<EngineResponse> responses;
+  for (auto& future : futures) responses.push_back(future.get());
+  int owners = 0;
+  for (const EngineResponse& response : responses) {
+    ASSERT_NE(response.communities_json, nullptr);
+    EXPECT_EQ(response.communities_json.get(),
+              responses.front().communities_json.get());
+    if (response.cache_hit) {
+      EXPECT_EQ(response.solve_seconds, 0.0);
+    } else {
+      ++owners;
+      EXPECT_GT(response.solve_seconds, 0.0);
+    }
+  }
+  EXPECT_EQ(owners, 1);
+  EXPECT_EQ(*responses.front().communities_json,
+            FormatCommunitiesJson(*responses.front().result));
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.cache_uncacheable, 1u);
+  EXPECT_EQ(stats.cache_coalesced, static_cast<std::uint64_t>(kCallers - 1));
 }
 
 // -- Outcome accounting, TTL, negative caching ------------------------------
@@ -822,10 +878,21 @@ TEST(QueryEngineDeltaTest, ChurnOracleCacheServedAnswersAreExact) {
 
   constexpr int kRounds = 8;
   std::string error;
+  std::uint64_t served_bytes_checked = 0;
   for (int round = 0; round < kRounds; ++round) {
     for (std::size_t i = 0; i < queries.size(); ++i) {
       const EngineResponse response = engine.Run(queries[i]);
-      ExpectIdentical(*response.result, Solve(current, queries[i]), i);
+      const SearchResult fresh = Solve(current, queries[i]);
+      ExpectIdentical(*response.result, fresh, i);
+      // The bytes a hit is served from were formatted when the entry was
+      // filled, possibly several deltas ago: they must still be exactly
+      // what the current graph's answer formats to.
+      if (response.cache_hit) {
+        ++served_bytes_checked;
+        EXPECT_EQ(*response.communities_json, FormatCommunitiesJson(fresh))
+            << "round " << round << " query " << i;
+        EXPECT_EQ(response.solve_seconds, 0.0);
+      }
     }
     const GraphDelta delta = RandomDelta(current, /*seed=*/1000 + round,
                                          /*inserts=*/4, /*deletes=*/4,
@@ -845,6 +912,7 @@ TEST(QueryEngineDeltaTest, ChurnOracleCacheServedAnswersAreExact) {
   EXPECT_GE(stats.cache_negative_hits,
             static_cast<std::uint64_t>(kRounds - 1));
   EXPECT_EQ(stats.deltas_applied, static_cast<std::uint64_t>(kRounds));
+  EXPECT_EQ(served_bytes_checked, stats.cache_hits);
   ExpectOutcomeInvariant(stats);
 }
 

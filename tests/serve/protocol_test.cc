@@ -6,6 +6,11 @@
 
 #include "serve/protocol.h"
 
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -14,6 +19,7 @@
 #include "core/aggregation.h"
 #include "core/community.h"
 #include "core/result.h"
+#include "util/rng.h"
 
 namespace ticl {
 namespace {
@@ -308,7 +314,7 @@ TEST(FormatTest, ResultLineExactBytes) {
       FormatResultLine("\"q1\"", query, TwoCommunityResult(), false);
   EXPECT_EQ(line,
             "{\"id\": \"q1\", \"query\": \"" + QueryToString(query) +
-                "\", \"cached\": false, \"elapsed_seconds\": 0.012345, "
+                "\", \"cached\": false, \"solve_seconds\": 0.012345, "
             "\"communities\": [{\"influence\": 42, \"members\": [1, 2, 3]}, "
             "{\"influence\": 0.125, \"members\": [7]}]}\n");
 }
@@ -327,6 +333,177 @@ TEST(FormatTest, EmptyResult) {
   Query query;
   const SearchResult empty;
   EXPECT_EQ(FormatCommunitiesJson(empty), "[]");
+}
+
+// A cached reply did not solve: it reports 0 seconds, not the original
+// solve's time, and carries the same communities bytes.
+TEST(FormatTest, CachedResultLineReportsZeroSolveSeconds) {
+  Query query;
+  const SearchResult result = TwoCommunityResult();
+  const std::string line = FormatResultLine("1", query, result, true);
+  EXPECT_NE(line.find("\"cached\": true, \"solve_seconds\": 0.000000, "),
+            std::string::npos)
+      << line;
+}
+
+// The SearchResult overload is a wrapper: both overloads emit the same
+// line for the same bytes and seconds.
+TEST(FormatTest, BytesOverloadMatchesResultOverload) {
+  Query query;
+  query.k = 3;
+  const SearchResult result = TwoCommunityResult();
+  EXPECT_EQ(FormatResultLine("\"x\"", query, FormatCommunitiesJson(result),
+                             0.012345, false),
+            FormatResultLine("\"x\"", query, result, false));
+  EXPECT_EQ(FormatResultLine("\"x\"", query, FormatCommunitiesJson(result),
+                             0.0, true),
+            FormatResultLine("\"x\"", query, result, true));
+}
+
+TEST(FormatTest, SolveSecondsPrintedAsFixedSix) {
+  Query query;
+  const SearchResult empty;
+  for (const double seconds : {0.0, 1e-7, 5e-7, 0.0000015, 0.1234565, 1.0,
+                               12.5, 3600.25, 1e12}) {
+    char expected[64];
+    std::snprintf(expected, sizeof(expected), "\"solve_seconds\": %.6f, ",
+                  seconds);
+    const std::string line = FormatResultLine("1", query, "[]", seconds, false);
+    EXPECT_NE(line.find(expected), std::string::npos) << line;
+  }
+}
+
+// -- Byte identity with the snprintf formatter ------------------------------
+
+// The formatter FormatCommunitiesJson replaced, verbatim: %.17g
+// influences and %u ids through snprintf. The to_chars formatter must
+// produce exactly these bytes, since clients compare answers byte for
+// byte.
+std::string SnprintfCommunitiesJson(const SearchResult& result) {
+  std::string out = "[";
+  char buffer[64];
+  for (std::size_t i = 0; i < result.communities.size(); ++i) {
+    const Community& c = result.communities[i];
+    if (i != 0) out += ", ";
+    std::snprintf(buffer, sizeof(buffer), "{\"influence\": %.17g, ",
+                  c.influence);
+    out += buffer;
+    out += "\"members\": [";
+    for (std::size_t j = 0; j < c.members.size(); ++j) {
+      if (j != 0) out += ", ";
+      std::snprintf(buffer, sizeof(buffer), "%u", c.members[j]);
+      out += buffer;
+    }
+    out += "]}";
+  }
+  out += "]";
+  return out;
+}
+
+SearchResult SingleCommunity(double influence, VertexList members) {
+  SearchResult result;
+  Community c;
+  c.influence = influence;
+  c.members = std::move(members);
+  result.communities.push_back(std::move(c));
+  return result;
+}
+
+TEST(FormatIdentityTest, RandomBitPatternInfluences) {
+  Rng rng(20221);
+  std::size_t mismatches = 0;
+  for (int i = 0; i < 200000; ++i) {
+    const std::uint64_t bits = rng.Next();
+    double influence;
+    std::memcpy(&influence, &bits, sizeof(influence));
+    const SearchResult result = SingleCommunity(influence, {1});
+    const std::string expected = SnprintfCommunitiesJson(result);
+    const std::string actual = FormatCommunitiesJson(result);
+    if (actual != expected && ++mismatches <= 5) {
+      ADD_FAILURE() << "bits 0x" << std::hex << bits << ": " << actual
+                    << " != " << expected;
+    }
+  }
+  EXPECT_EQ(mismatches, 0u);
+}
+
+TEST(FormatIdentityTest, SpecialInfluences) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<double> values = {
+      kInf, -kInf, 0.0, -0.0,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(),
+      std::numeric_limits<double>::min() / 3.0,  // subnormal
+      std::numeric_limits<double>::min(),
+      std::numeric_limits<double>::max(),
+      std::numeric_limits<double>::lowest(),
+      std::numeric_limits<double>::epsilon(),
+      0.1, 1.0 / 3.0, 2.0 / 3.0, 0.125, 1e-4, 9.9999999999999995e-5, 1e-5,
+      1e16, 1e17, 9.999999999999999e16, 123456789012345678.0,
+      std::nextafter(1.0, 2.0), std::nextafter(1.0, 0.0)};
+  // Integers as doubles, including the precision-17 switch to exponent
+  // notation and the 2^53 limit of exact integers.
+  for (double v = 1.0; v < 1e22; v *= 10.0) {
+    values.push_back(v);
+    values.push_back(v - 1.0);
+    values.push_back(-v);
+  }
+  for (const double v : {42.0, 255.0, 65536.0, 4294967295.0,
+                         9007199254740991.0, 9007199254740992.0,
+                         9007199254740993.0}) {
+    values.push_back(v);
+  }
+  for (const double v : values) {
+    const SearchResult result = SingleCommunity(v, {0});
+    EXPECT_EQ(FormatCommunitiesJson(result), SnprintfCommunitiesJson(result))
+        << "influence " << v;
+  }
+}
+
+TEST(FormatIdentityTest, IdsAcrossEveryDigitCount) {
+  VertexList ids = {0, std::numeric_limits<VertexId>::max()};
+  for (std::uint64_t p = 1; p <= 1000000000ull; p *= 10) {
+    ids.push_back(static_cast<VertexId>(p - 1));
+    ids.push_back(static_cast<VertexId>(p));
+    ids.push_back(static_cast<VertexId>(p + 1));
+  }
+  const SearchResult result = SingleCommunity(1.5, ids);
+  EXPECT_EQ(FormatCommunitiesJson(result), SnprintfCommunitiesJson(result));
+}
+
+TEST(FormatIdentityTest, EmptyShapes) {
+  const SearchResult empty;
+  EXPECT_EQ(FormatCommunitiesJson(empty), SnprintfCommunitiesJson(empty));
+  SearchResult no_members = SingleCommunity(2.0, {});
+  no_members.communities.push_back(no_members.communities.front());
+  EXPECT_EQ(FormatCommunitiesJson(no_members),
+            SnprintfCommunitiesJson(no_members));
+  EXPECT_EQ(FormatCommunitiesJson(no_members),
+            "[{\"influence\": 2, \"members\": []}, "
+            "{\"influence\": 2, \"members\": []}]");
+}
+
+TEST(FormatIdentityTest, RandomResults) {
+  Rng rng(7);
+  for (int trial = 0; trial < 2000; ++trial) {
+    SearchResult result;
+    const auto communities = rng.NextBounded(6);
+    for (std::uint64_t i = 0; i < communities; ++i) {
+      Community c;
+      c.influence = rng.NextGaussian() * std::pow(10.0, rng.NextInRange(-8, 8));
+      const auto size = rng.NextBounded(40);
+      for (std::uint64_t j = 0; j < size; ++j) {
+        // Mostly small ids, some spanning the whole 32-bit range.
+        const std::uint64_t id = rng.NextBernoulli(0.8)
+                                     ? rng.NextBounded(100000)
+                                     : rng.Next() & 0xFFFFFFFFull;
+        c.members.push_back(static_cast<VertexId>(id));
+      }
+      result.communities.push_back(std::move(c));
+    }
+    ASSERT_EQ(FormatCommunitiesJson(result), SnprintfCommunitiesJson(result))
+        << "trial " << trial;
+  }
 }
 
 TEST(FormatTest, ErrorLineEscapesMessage) {

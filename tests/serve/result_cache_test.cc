@@ -12,11 +12,12 @@
 
 #include <gtest/gtest.h>
 
+#include "serve/protocol.h"
+
 namespace ticl {
 namespace {
 
-std::shared_ptr<const SearchResult> MakeResult(
-    std::initializer_list<std::size_t> community_sizes) {
+CachedAnswer MakeAnswer(std::initializer_list<std::size_t> community_sizes) {
   auto result = std::make_shared<SearchResult>();
   VertexId next = 0;
   for (const std::size_t size : community_sizes) {
@@ -25,7 +26,9 @@ std::shared_ptr<const SearchResult> MakeResult(
     c.influence = static_cast<double>(size);
     result->communities.push_back(std::move(c));
   }
-  return result;
+  auto bytes = std::make_shared<const std::string>(
+      FormatCommunitiesJson(*result));
+  return {std::move(result), std::move(bytes)};
 }
 
 CacheEntryMeta Meta(VertexId k, bool total_weight_sensitive = false) {
@@ -35,12 +38,29 @@ CacheEntryMeta Meta(VertexId k, bool total_weight_sensitive = false) {
 TEST(ResultCacheTest, LookupMissInsertHit) {
   ResultCache cache(ResultCacheOptions{});
   EXPECT_TRUE(cache.enabled());
-  EXPECT_EQ(cache.Lookup("a"), nullptr);
-  const auto result = MakeResult({3});
-  EXPECT_EQ(cache.Insert("a", Meta(2), result),
+  EXPECT_EQ(cache.Lookup("a").result, nullptr);
+  EXPECT_EQ(cache.Lookup("a").communities_json, nullptr);
+  const CachedAnswer answer = MakeAnswer({3});
+  EXPECT_EQ(cache.Insert("a", Meta(2), answer),
             ResultCache::InsertOutcome::kInserted);
-  EXPECT_EQ(cache.Lookup("a"), result);
+  EXPECT_EQ(cache.Lookup("a").result, answer.result);
   EXPECT_EQ(cache.charge(), 3u);
+}
+
+// A hit hands out the very bytes that were inserted: no copy, no
+// re-format, however often the entry is hit.
+TEST(ResultCacheTest, HitReturnsTheInsertedBytes) {
+  ResultCache cache(ResultCacheOptions{});
+  const CachedAnswer answer = MakeAnswer({3, 2});
+  cache.Insert("a", Meta(2), answer);
+  for (int i = 0; i < 3; ++i) {
+    const CachedAnswer hit = cache.Lookup("a");
+    EXPECT_EQ(hit.result, answer.result);
+    EXPECT_EQ(hit.communities_json, answer.communities_json);
+  }
+  EXPECT_EQ(*answer.communities_json,
+            "[{\"influence\": 3, \"members\": [0, 1, 2]}, "
+            "{\"influence\": 2, \"members\": [3, 4]}]");
 }
 
 TEST(ResultCacheTest, DisabledWhenBudgetZero) {
@@ -52,20 +72,21 @@ TEST(ResultCacheTest, DisabledWhenBudgetZero) {
 
 TEST(ResultCacheTest, DuplicateKeepsIncumbent) {
   ResultCache cache(ResultCacheOptions{});
-  const auto first = MakeResult({2});
-  const auto second = MakeResult({5});
+  const CachedAnswer first = MakeAnswer({2});
+  const CachedAnswer second = MakeAnswer({5});
   EXPECT_EQ(cache.Insert("a", Meta(2), first),
             ResultCache::InsertOutcome::kInserted);
   EXPECT_EQ(cache.Insert("a", Meta(2), second),
             ResultCache::InsertOutcome::kDuplicate);
-  EXPECT_EQ(cache.Lookup("a"), first);
+  EXPECT_EQ(cache.Lookup("a").result, first.result);
+  EXPECT_EQ(cache.Lookup("a").communities_json, first.communities_json);
 }
 
 TEST(ResultCacheTest, OversizedResultIsUncacheable) {
   ResultCacheOptions options;
   options.member_budget = 4;
   ResultCache cache(options);
-  EXPECT_EQ(cache.Insert("big", Meta(2), MakeResult({5})),
+  EXPECT_EQ(cache.Insert("big", Meta(2), MakeAnswer({5})),
             ResultCache::InsertOutcome::kUncacheable);
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.charge(), 0u);
@@ -75,24 +96,26 @@ TEST(ResultCacheTest, LruEvictsOldestFirstBySize) {
   ResultCacheOptions options;
   options.member_budget = 10;
   ResultCache cache(options);
-  cache.Insert("a", Meta(2), MakeResult({4}));
-  cache.Insert("b", Meta(2), MakeResult({4}));
-  EXPECT_NE(cache.Lookup("a"), nullptr);  // bump a to MRU
-  cache.Insert("c", Meta(2), MakeResult({4}));  // 12 > 10: evict b
-  EXPECT_NE(cache.Lookup("a"), nullptr);
-  EXPECT_EQ(cache.Lookup("b"), nullptr);
-  EXPECT_NE(cache.Lookup("c"), nullptr);
+  cache.Insert("a", Meta(2), MakeAnswer({4}));
+  cache.Insert("b", Meta(2), MakeAnswer({4}));
+  EXPECT_NE(cache.Lookup("a").result, nullptr);  // bump a to MRU
+  cache.Insert("c", Meta(2), MakeAnswer({4}));  // 12 > 10: evict b
+  EXPECT_NE(cache.Lookup("a").result, nullptr);
+  EXPECT_EQ(cache.Lookup("b").result, nullptr);
+  EXPECT_NE(cache.Lookup("c").result, nullptr);
   EXPECT_EQ(cache.counters().evictions, 1u);
   EXPECT_LE(cache.charge(), 10u);
 }
 
 TEST(ResultCacheTest, NegativeEntriesChargeOneAndCountHits) {
   ResultCache cache(ResultCacheOptions{});
-  cache.Insert("none", Meta(7), MakeResult({}));
+  cache.Insert("none", Meta(7), MakeAnswer({}));
   EXPECT_EQ(cache.charge(), 1u);
-  const auto hit = cache.Lookup("none");
-  ASSERT_NE(hit, nullptr);
-  EXPECT_TRUE(hit->communities.empty());
+  const CachedAnswer hit = cache.Lookup("none");
+  ASSERT_NE(hit.result, nullptr);
+  EXPECT_TRUE(hit.result->communities.empty());
+  ASSERT_NE(hit.communities_json, nullptr);
+  EXPECT_EQ(*hit.communities_json, "[]");
   EXPECT_EQ(cache.counters().negative_hits, 1u);
 }
 
@@ -105,19 +128,19 @@ TEST(ResultCacheTest, TtlExpiresEntriesLazily) {
   options.clock_for_test = [now] { return *now; };
   ResultCache cache(options);
 
-  cache.Insert("a", Meta(2), MakeResult({3}));
+  cache.Insert("a", Meta(2), MakeAnswer({3}));
   *now += std::chrono::milliseconds(99);
-  EXPECT_NE(cache.Lookup("a"), nullptr);  // still fresh
+  EXPECT_NE(cache.Lookup("a").result, nullptr);  // still fresh
   *now += std::chrono::milliseconds(1);
-  EXPECT_EQ(cache.Lookup("a"), nullptr);  // at the deadline: expired
+  EXPECT_EQ(cache.Lookup("a").result, nullptr);  // at the deadline: expired
   EXPECT_EQ(cache.counters().expired, 1u);
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.charge(), 0u);
 
   // Re-inserting restarts the clock from the (advanced) now.
-  cache.Insert("a", Meta(2), MakeResult({3}));
+  cache.Insert("a", Meta(2), MakeAnswer({3}));
   *now += std::chrono::milliseconds(50);
-  EXPECT_NE(cache.Lookup("a"), nullptr);
+  EXPECT_NE(cache.Lookup("a").result, nullptr);
 }
 
 TEST(ResultCacheTest, HugeTtlSaturatesInsteadOfExpiringInstantly) {
@@ -127,8 +150,8 @@ TEST(ResultCacheTest, HugeTtlSaturatesInsteadOfExpiringInstantly) {
   ResultCacheOptions options;
   options.ttl_ms = ~0ull;
   ResultCache cache(options);  // real clock on purpose
-  cache.Insert("a", Meta(2), MakeResult({3}));
-  EXPECT_NE(cache.Lookup("a"), nullptr);
+  cache.Insert("a", Meta(2), MakeAnswer({3}));
+  EXPECT_NE(cache.Lookup("a").result, nullptr);
   EXPECT_EQ(cache.counters().expired, 0u);
 }
 
@@ -139,9 +162,9 @@ TEST(ResultCacheTest, ZeroTtlNeverExpires) {
   options.ttl_ms = 0;
   options.clock_for_test = [now] { return *now; };
   ResultCache cache(options);
-  cache.Insert("a", Meta(2), MakeResult({3}));
+  cache.Insert("a", Meta(2), MakeAnswer({3}));
   *now += std::chrono::hours(10000);
-  EXPECT_NE(cache.Lookup("a"), nullptr);
+  EXPECT_NE(cache.Lookup("a").result, nullptr);
   EXPECT_EQ(cache.counters().expired, 0u);
 }
 
@@ -177,21 +200,21 @@ TEST(DeltaImpactTest, EvictsTruthTable) {
 
 TEST(ResultCacheTest, InvalidateForDeltaSweepsAndCounts) {
   ResultCache cache(ResultCacheOptions{});
-  cache.Insert("k2", Meta(2), MakeResult({3}));
-  cache.Insert("k4", Meta(4), MakeResult({4}));
-  cache.Insert("k7", Meta(7), MakeResult({5}));
+  cache.Insert("k2", Meta(2), MakeAnswer({3}));
+  cache.Insert("k4", Meta(4), MakeAnswer({4}));
+  cache.Insert("k7", Meta(7), MakeAnswer({5}));
   cache.Insert("bd7", Meta(7, /*total_weight_sensitive=*/true),
-               MakeResult({5}));
+               MakeAnswer({5}));
 
   DeltaImpact impact;
   impact.evict_k_le = 2;
   impact.total_weight_changed = true;
   cache.InvalidateForDelta(impact);
 
-  EXPECT_EQ(cache.Lookup("k2"), nullptr);
-  EXPECT_NE(cache.Lookup("k4"), nullptr);
-  EXPECT_NE(cache.Lookup("k7"), nullptr);
-  EXPECT_EQ(cache.Lookup("bd7"), nullptr);
+  EXPECT_EQ(cache.Lookup("k2").result, nullptr);
+  EXPECT_NE(cache.Lookup("k4").result, nullptr);
+  EXPECT_NE(cache.Lookup("k7").result, nullptr);
+  EXPECT_EQ(cache.Lookup("bd7").result, nullptr);
   EXPECT_EQ(cache.counters().partial_evicted, 2u);
   EXPECT_EQ(cache.counters().partial_kept, 2u);
   EXPECT_EQ(cache.charge(), 9u);  // k4 + k7 remain
@@ -199,12 +222,12 @@ TEST(ResultCacheTest, InvalidateForDeltaSweepsAndCounts) {
 
 TEST(ResultCacheTest, ClearDropsEverythingWithoutPartialCounts) {
   ResultCache cache(ResultCacheOptions{});
-  cache.Insert("a", Meta(2), MakeResult({3}));
-  cache.Insert("b", Meta(3), MakeResult({4}));
+  cache.Insert("a", Meta(2), MakeAnswer({3}));
+  cache.Insert("b", Meta(3), MakeAnswer({4}));
   cache.Clear();
   EXPECT_EQ(cache.size(), 0u);
   EXPECT_EQ(cache.charge(), 0u);
-  EXPECT_EQ(cache.Lookup("a"), nullptr);
+  EXPECT_EQ(cache.Lookup("a").result, nullptr);
   EXPECT_EQ(cache.counters().partial_evicted, 0u);
   EXPECT_EQ(cache.counters().partial_kept, 0u);
 }

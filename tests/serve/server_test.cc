@@ -177,7 +177,7 @@ class ServerHarness {
 };
 
 /// The answer portion of a response line, for bit-identical comparison
-/// against inline Solve() (cached/elapsed_seconds legitimately differ
+/// against inline Solve() (cached/solve_seconds legitimately differ
 /// per execution).
 std::string CommunitiesPortion(const std::string& response_line) {
   const std::size_t pos = response_line.find("\"communities\": ");
@@ -188,6 +188,42 @@ std::string CommunitiesPortion(const std::string& response_line) {
 std::string ExpectedCommunitiesPortion(const Graph& g, const Query& query) {
   const SearchResult direct = Solve(g, query);
   return "\"communities\": " + FormatCommunitiesJson(direct) + "}";
+}
+
+TEST(ServerTest, RepeatedQueryIsServedFromCachedBytes) {
+  // The second identical query is a cache hit: it says so, reports no
+  // solve time (it did not solve), and carries the first reply's
+  // communities bytes exactly.
+  Graph g = WeightedChungLu(29);
+  const Graph reference = g;
+  EngineOptions engine_options;
+  engine_options.num_threads = 2;
+  ServerHarness harness(std::move(g), engine_options);
+  ASSERT_TRUE(harness.ok());
+  Query query;
+  query.k = 3;
+  query.r = 4;
+
+  TestClient client(harness.port());
+  ASSERT_TRUE(client.connected());
+  client.SendLine(R"({"id": 1, "k": 3, "r": 4, "f": "sum"})");
+  const std::string first = client.ReadLine();
+  client.SendLine(R"({"id": 2, "k": 3, "r": 4, "f": "sum"})");
+  const std::string second = client.ReadLine();
+
+  EXPECT_NE(first.find("\"cached\": false, \"solve_seconds\": "),
+            std::string::npos)
+      << first;
+  EXPECT_EQ(first.find("\"solve_seconds\": 0.000000,"), std::string::npos)
+      << "a miss that solved reports its solve time: " << first;
+  EXPECT_NE(second.find("\"id\": 2, "), std::string::npos) << second;
+  EXPECT_NE(second.find("\"cached\": true, \"solve_seconds\": 0.000000, "),
+            std::string::npos)
+      << second;
+  EXPECT_EQ(CommunitiesPortion(second), CommunitiesPortion(first));
+  EXPECT_EQ(CommunitiesPortion(first),
+            ExpectedCommunitiesPortion(reference, query));
+  EXPECT_EQ(harness.engine().stats().cache_hits, 1u);
 }
 
 TEST(ServerTest, ConcurrentClientsMatchInlineSolveBitIdentical) {

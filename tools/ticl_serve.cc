@@ -13,8 +13,9 @@
 //
 // Result lines:
 //   {"id": "q1", "query": "TIC k=4 r=5 f=sum", "cached": false,
-//    "elapsed_seconds": 0.0123,
-//    "communities": [{"influence": 42.0, "members": [1, 2, 3]}]}
+//    "solve_seconds": 0.012300,
+//    "communities": [{"influence": 42, "members": [1, 2, 3]}]}
+// ("solve_seconds" is 0 when the cache or a coalesced solve answered.)
 // or, for a malformed/invalid line:
 //   {"id": "q1", "error": "...", "kind": "parse"}
 //
@@ -329,7 +330,9 @@ int main(int argc, char** argv) {
     for (PendingQuery& entry : pending) {
       const ticl::EngineResponse response = entry.future.get();
       std::fputs(ticl::FormatResultLine(entry.id_json, entry.query,
-                                        *response.result, response.cache_hit)
+                                        *response.communities_json,
+                                        response.solve_seconds,
+                                        response.cache_hit)
                      .c_str(),
                  stdout);
       ++answered;

@@ -326,8 +326,8 @@ int main(int argc, char** argv) {
       "drained: %llu connections, %llu queries answered (%llu rejected, "
       "%llu per-conn rejected, %llu invalid, %llu parse errors, %llu "
       "dropped), cache %llu hits (%llu negative) / %llu misses / %llu "
-      "coalesced / %llu expired, %llu deltas applied (%llu entries kept / "
-      "%llu evicted by partial invalidation)\n",
+      "coalesced / %llu uncacheable / %llu expired, %llu deltas applied "
+      "(%llu entries kept / %llu evicted by partial invalidation)\n",
       static_cast<unsigned long long>(server_stats.connections_accepted),
       static_cast<unsigned long long>(server_stats.responses_sent),
       static_cast<unsigned long long>(server_stats.server_rejected),
@@ -339,6 +339,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(engine_stats.cache_negative_hits),
       static_cast<unsigned long long>(engine_stats.cache_misses),
       static_cast<unsigned long long>(engine_stats.cache_coalesced),
+      static_cast<unsigned long long>(engine_stats.cache_uncacheable),
       static_cast<unsigned long long>(engine_stats.cache_expired),
       static_cast<unsigned long long>(engine_stats.deltas_applied),
       static_cast<unsigned long long>(engine_stats.cache_partial_kept),
