@@ -37,6 +37,18 @@ EngineResponse Answered(CachedAnswer answer, bool cache_hit,
   return response;
 }
 
+/// ValidateSolveOptions plus what only the engine forbids: parallel local
+/// search would start threads inside pool workers, and its answer depends
+/// on the thread count, so one engine could not promise one answer.
+std::string ValidateEngineSolveOptions(const SolveOptions& solve) {
+  if (solve.local.num_threads > 1) {
+    return "parallel local search (local.num_threads = " +
+           std::to_string(solve.local.num_threads) +
+           ") is not supported on the serving path";
+  }
+  return ValidateSolveOptions(solve);
+}
+
 ResultCacheOptions CacheOptionsFor(const EngineOptions& options) {
   ResultCacheOptions cache;
   cache.member_budget = options.cache_member_budget;
@@ -76,7 +88,8 @@ QueryEngine::QueryEngine(std::unique_ptr<MappedSnapshot> mapped,
       solve_started_hook_for_test_(options.solve_started_hook_for_test),
       cache_(CacheOptionsFor(options)),
       pool_(options.num_threads) {
-  const std::string options_problem = ValidateSolveOptions(options.solve);
+  const std::string options_problem =
+      ValidateEngineSolveOptions(options.solve);
   TICL_CHECK_MSG(options_problem.empty(), options_problem.c_str());
 
   auto state = std::make_shared<ServingState>();
@@ -117,7 +130,8 @@ QueryEngine::QueryEngine(std::unique_ptr<MappedSnapshot> mapped,
 std::unique_ptr<QueryEngine> QueryEngine::OpenSnapshot(
     const std::string& path, SnapshotLoadMode mode, EngineOptions options,
     std::string* error) {
-  const std::string options_problem = ValidateSolveOptions(options.solve);
+  const std::string options_problem =
+      ValidateEngineSolveOptions(options.solve);
   if (!options_problem.empty()) {
     *error = "engine: " + options_problem;
     return nullptr;

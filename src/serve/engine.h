@@ -50,6 +50,7 @@
 #include <cstdint>
 #include <functional>
 #include <future>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -139,6 +140,35 @@ struct EngineStats {
   /// Completed ApplyDelta() calls.
   std::uint64_t deltas_applied = 0;
 };
+
+/// One counter of a stats struct: its wire name and where it lives.
+template <typename Stats>
+struct StatsField {
+  const char* name;
+  std::uint64_t Stats::*value;
+};
+
+/// The one list of EngineStats names, in the order every stats surface
+/// prints them (the "stats" admin reply, the drain line, the batch
+/// summary). A counter added to the struct appears on all of them once it
+/// is listed here.
+inline constexpr StatsField<EngineStats> kEngineStatsFields[] = {
+    {"queries", &EngineStats::queries},
+    {"cache_hits", &EngineStats::cache_hits},
+    {"cache_misses", &EngineStats::cache_misses},
+    {"cache_coalesced", &EngineStats::cache_coalesced},
+    {"cache_evictions", &EngineStats::cache_evictions},
+    {"cache_uncacheable", &EngineStats::cache_uncacheable},
+    {"cache_negative_hits", &EngineStats::cache_negative_hits},
+    {"cache_expired", &EngineStats::cache_expired},
+    {"cache_partial_kept", &EngineStats::cache_partial_kept},
+    {"cache_partial_evicted", &EngineStats::cache_partial_evicted},
+    {"cache_charge", &EngineStats::cache_charge},
+    {"deltas_applied", &EngineStats::deltas_applied},
+};
+static_assert(sizeof(EngineStats) ==
+                  std::size(kEngineStatsFields) * sizeof(std::uint64_t),
+              "every EngineStats counter needs a kEngineStatsFields entry");
 
 /// One answered query. `result` and `communities_json` (the result's
 /// FormatCommunitiesJson bytes, formatted once by the call that solved

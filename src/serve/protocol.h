@@ -1,9 +1,9 @@
 // JSONL wire protocol shared by every serve front end.
 //
-// One request per line, one reply per line. tools/ticl_serve (batch pipe)
-// and tools/ticl_served (TCP) both parse and format through this module —
-// the batch and network paths speak byte-identical JSON by construction,
-// so they cannot drift.
+// One request per line, one reply per line. tools/ticl_served parses and
+// formats through this module in both of its modes, --batch (a file or
+// stdin) and TCP — the batch and network paths speak byte-identical JSON
+// by construction, so they cannot drift.
 //
 // Request lines are flat JSON objects with scalar values:
 //   {"id": "q1", "k": 4, "r": 5, "f": "sum"}
@@ -42,8 +42,8 @@ namespace ticl {
 
 /// Hard cap on one request line (bytes, excluding the newline). The
 /// network server must bound how much it buffers while looking for a
-/// newline; the batch tool enforces the same cap so the two front ends
-/// accept exactly the same language.
+/// newline; the parser enforces the same cap on every line so batch and
+/// network mode accept exactly the same language.
 inline constexpr std::size_t kMaxRequestLineBytes = 64 * 1024;
 
 /// Stable "kind" values carried by error replies so clients can dispatch

@@ -11,11 +11,15 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
+#include <future>
 #include <utility>
 #include <vector>
 
+#include "core/verification.h"
 #include "graph/graph_delta.h"
+#include "util/timing.h"
 
 namespace ticl {
 
@@ -32,7 +36,136 @@ std::string Errno(const std::string& what) {
 
 std::string U64(std::uint64_t value) { return std::to_string(value); }
 
+/// Appends `"name": value` for every field of the table, comma-separated.
+template <typename Stats, std::size_t N>
+void AppendFields(std::string* out, const Stats& stats,
+                  const StatsField<Stats> (&fields)[N]) {
+  const char* separator = "";
+  for (const StatsField<Stats>& field : fields) {
+    out->append(separator).append("\"").append(field.name).append("\": ");
+    out->append(U64(stats.*field.value));
+    separator = ", ";
+  }
+}
+
+/// The reply to one answered query, for both front ends: its result line
+/// around the engine's shared communities bytes, or an "internal" error
+/// line when the solve threw.
+std::string FormatAnswerLine(const std::string& id_json, const Query& query,
+                             const EngineResponse& response) {
+  if (response.result != nullptr) {
+    return FormatResultLine(id_json, query, *response.communities_json,
+                            response.solve_seconds, response.cache_hit);
+  }
+  return FormatErrorLine(id_json,
+                         "internal error: " +
+                             (response.error.empty()
+                                  ? std::string("solver failed")
+                                  : response.error),
+                         kErrorKindInternal);
+}
+
+/// Reads the next line of `in`, without its '\n', into *line; false once
+/// nothing is left.
+bool ReadLine(std::FILE* in, std::string* line) {
+  line->clear();
+  int ch = 0;
+  while ((ch = std::fgetc(in)) != EOF && ch != '\n') {
+    line->push_back(static_cast<char>(ch));
+  }
+  return ch == '\n' || !line->empty();
+}
+
 }  // namespace
+
+std::string FormatStatsJson(const EngineStats& engine,
+                            const ServerStats& server) {
+  std::string out = "{\"engine\": {";
+  AppendFields(&out, engine, kEngineStatsFields);
+  out += "}, \"server\": {";
+  AppendFields(&out, server, kServerStatsFields);
+  out += "}}";
+  return out;
+}
+
+int ServeBatch(QueryEngine* engine, std::FILE* in, std::FILE* out,
+               std::FILE* log) {
+  struct Answer {
+    std::string line;
+    EngineResponse response;
+  };
+  struct Slot {
+    std::string id_json;
+    Query query;
+    std::string line;             // set at once for a parse/invalid error
+    std::future<Answer> answer;   // valid for a submitted query
+  };
+  ServerStats stats;
+  bool failed = false;
+  const WallTimer timer;
+  // Every query is submitted as soon as its line is read; replies are
+  // written afterwards, in input order.
+  std::vector<Slot> slots;
+  std::size_t line_number = 0;
+  for (std::string line; ReadLine(in, &line);) {
+    ++line_number;
+    const std::size_t first = line.find_first_not_of(" \t\r");
+    if (first == std::string::npos || line[first] == '#') continue;
+    Slot& slot = slots.emplace_back();
+    std::string error;
+    if (!ParseQueryLine(line, line_number, &slot.query, &slot.id_json,
+                        &error)) {
+      ++stats.parse_errors;
+      slot.line = FormatErrorLine(slot.id_json, error, kErrorKindParse);
+      continue;
+    }
+    const std::string problem = engine->Validate(slot.query);
+    if (!problem.empty()) {
+      ++stats.invalid_queries;
+      slot.line = FormatErrorLine(slot.id_json, "invalid query: " + problem,
+                                  kErrorKindInvalid);
+      continue;
+    }
+    ++stats.queries_submitted;
+    auto promise = std::make_shared<std::promise<Answer>>();
+    slot.answer = promise->get_future();
+    engine->Submit(slot.query, [promise, id_json = slot.id_json,
+                                query = slot.query](EngineResponse response) {
+      std::string reply = FormatAnswerLine(id_json, query, response);
+      promise->set_value(Answer{std::move(reply), std::move(response)});
+    });
+  }
+
+  for (Slot& slot : slots) {
+    if (slot.answer.valid()) {
+      Answer answer = slot.answer.get();
+      slot.line = std::move(answer.line);
+      ++stats.responses_sent;
+      const EngineResponse& response = answer.response;
+      const std::string problem =
+          response.result == nullptr
+              ? response.error
+              : ValidateResult(engine->graph(), slot.query, *response.result);
+      if (response.result == nullptr || !problem.empty()) {
+        std::fprintf(log, "%s (id %s): %s\n",
+                     response.result == nullptr ? "internal error"
+                                                : "validation FAILED",
+                     slot.id_json.c_str(), problem.c_str());
+        failed = true;
+      }
+    }
+    std::fwrite(slot.line.data(), 1, slot.line.size(), out);
+  }
+  std::fflush(out);
+
+  const double seconds = timer.ElapsedSeconds();
+  std::fprintf(log, "answered %llu queries in %.3fs (%.1f queries/s): %s\n",
+               static_cast<unsigned long long>(stats.responses_sent), seconds,
+               seconds > 0.0 ? stats.responses_sent / seconds : 0.0,
+               FormatStatsJson(engine->stats(), stats).c_str());
+  if (failed) return 3;
+  return stats.parse_errors + stats.invalid_queries > 0 ? 4 : 0;
+}
 
 /// Per-connection state. `in` accumulates bytes until a newline; `out`
 /// holds formatted replies awaiting the socket. `line_number` feeds the
@@ -457,17 +590,8 @@ void Server::SubmitQuery(Connection* conn, const ParsedRequest& request) {
       [completions = completions_, conn_id = conn->id,
        id_json = request.id_json,
        query = request.query](EngineResponse response) {
-        std::string line =
-            response.result != nullptr
-                ? FormatResultLine(id_json, query, *response.communities_json,
-                                   response.solve_seconds, response.cache_hit)
-                : FormatErrorLine(id_json,
-                                  "internal error: " +
-                                      (response.error.empty()
-                                           ? std::string("solver failed")
-                                           : response.error),
-                                  kErrorKindInternal);
-        completions->Push(conn_id, std::move(line));
+        completions->Push(conn_id,
+                          FormatAnswerLine(id_json, query, response));
       });
 }
 
@@ -497,49 +621,17 @@ void Server::HandleAdmin(Connection* conn, const ParsedRequest& request) {
     return;
   }
   if (request.admin_verb == "stats") {
-    const EngineStats engine_stats = engine_->stats();
-    const ServerStats server_stats = stats();
     std::string reply = "{\"id\": " + request.id_json +
                         ", \"admin\": \"stats\", \"ok\": true, \"graph\": "
                         "{\"n\": " +
                         U64(engine_->graph().num_vertices()) + ", \"m\": " +
-                        U64(engine_->graph().num_edges()) + "}, ";
-    reply += "\"engine\": {\"queries\": " + U64(engine_stats.queries) +
-             ", \"cache_hits\": " + U64(engine_stats.cache_hits) +
-             ", \"cache_misses\": " + U64(engine_stats.cache_misses) +
-             ", \"cache_coalesced\": " + U64(engine_stats.cache_coalesced) +
-             ", \"cache_evictions\": " + U64(engine_stats.cache_evictions) +
-             ", \"cache_uncacheable\": " +
-             U64(engine_stats.cache_uncacheable) +
-             ", \"cache_negative_hits\": " +
-             U64(engine_stats.cache_negative_hits) +
-             ", \"cache_expired\": " + U64(engine_stats.cache_expired) +
-             ", \"cache_partial_kept\": " +
-             U64(engine_stats.cache_partial_kept) +
-             ", \"cache_partial_evicted\": " +
-             U64(engine_stats.cache_partial_evicted) +
-             ", \"cache_charge\": " + U64(engine_stats.cache_charge) +
-             ", \"deltas_applied\": " + U64(engine_stats.deltas_applied) +
-             "}, ";
-    reply += "\"server\": {\"connections\": " + U64(connections_.size()) +
-             ", \"in_flight\": " + U64(total_in_flight_) +
-             ", \"connections_accepted\": " +
-             U64(server_stats.connections_accepted) +
-             ", \"connections_refused\": " +
-             U64(server_stats.connections_refused) +
-             ", \"queries_submitted\": " +
-             U64(server_stats.queries_submitted) +
-             ", \"responses_sent\": " + U64(server_stats.responses_sent) +
-             ", \"responses_dropped\": " +
-             U64(server_stats.responses_dropped) +
-             ", \"parse_errors\": " + U64(server_stats.parse_errors) +
-             ", \"invalid_queries\": " + U64(server_stats.invalid_queries) +
-             ", \"server_rejected\": " + U64(server_stats.server_rejected) +
-             ", \"server_rejected_per_conn\": " +
-             U64(server_stats.server_rejected_per_conn) +
-             ", \"admin_commands\": " + U64(server_stats.admin_commands) +
-             ", \"oversized_lines\": " + U64(server_stats.oversized_lines) +
-             "}}\n";
+                        U64(engine_->graph().num_edges()) +
+                        "}, \"engine\": {";
+    AppendFields(&reply, engine_->stats(), kEngineStatsFields);
+    reply += "}, \"server\": {\"connections\": " + U64(connections_.size()) +
+             ", \"in_flight\": " + U64(total_in_flight_) + ", ";
+    AppendFields(&reply, stats(), kServerStatsFields);
+    reply += "}}\n";
     Reply(conn, std::move(reply));
     return;
   }

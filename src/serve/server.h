@@ -44,7 +44,9 @@
 #include <chrono>
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
 #include <deque>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -110,6 +112,44 @@ struct ServerStats {
   /// unflushed (the peer stopped reading).
   std::uint64_t drain_forced_closes = 0;
 };
+
+/// The one list of ServerStats names, in the order every stats surface
+/// prints them (see kEngineStatsFields).
+inline constexpr StatsField<ServerStats> kServerStatsFields[] = {
+    {"connections_accepted", &ServerStats::connections_accepted},
+    {"connections_refused", &ServerStats::connections_refused},
+    {"queries_submitted", &ServerStats::queries_submitted},
+    {"responses_sent", &ServerStats::responses_sent},
+    {"responses_dropped", &ServerStats::responses_dropped},
+    {"parse_errors", &ServerStats::parse_errors},
+    {"invalid_queries", &ServerStats::invalid_queries},
+    {"server_rejected", &ServerStats::server_rejected},
+    {"server_rejected_per_conn", &ServerStats::server_rejected_per_conn},
+    {"admin_commands", &ServerStats::admin_commands},
+    {"oversized_lines", &ServerStats::oversized_lines},
+    {"drain_forced_closes", &ServerStats::drain_forced_closes},
+};
+static_assert(sizeof(ServerStats) ==
+                  std::size(kServerStatsFields) * sizeof(std::uint64_t),
+              "every ServerStats counter needs a kServerStatsFields entry");
+
+/// {"engine": {...}, "server": {...}} with every counter of both tables,
+/// as the "stats" admin reply carries them: the drain line and the batch
+/// summary print this.
+std::string FormatStatsJson(const EngineStats& engine,
+                            const ServerStats& server);
+
+/// Batch front end (ticl_served --batch): answers every query line of
+/// `in` on `out`, in input order, through the listener's parser, engine
+/// path and reply formatting; opens no socket. Blank and '#' lines are
+/// skipped, admin lines are rejected as parse errors, and every answer is
+/// checked with ValidateResult. Failures and one summary line (throughput
+/// plus FormatStatsJson) go to `log`. Returns the exit status: 0; 3 when
+/// an answer failed validation or its solve threw (a library bug; the
+/// other lines are still answered); else 4 when a line was malformed or
+/// invalid.
+int ServeBatch(QueryEngine* engine, std::FILE* in, std::FILE* out,
+               std::FILE* log);
 
 /// One server per engine. Not copyable. Lifecycle: Start() binds and
 /// listens (port() is valid afterwards), Serve() runs the event loop on

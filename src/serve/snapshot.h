@@ -70,7 +70,7 @@
 //
 //   ticl_query --generate standin:dblp --save-snapshot dblp.snap \
 //       --snapshot-index                    # v2 + embedded CoreIndex
-//   ticl_serve --snapshot dblp.snap --mmap  # start-up with zero copies
+//   ticl_served --snapshot dblp.snap --mmap  # start-up with zero copies
 //
 // or in code: MappedSnapshot::Open(path, &error) hands out a span-backed
 // Graph (and CoreIndex) reading straight from the mapping.

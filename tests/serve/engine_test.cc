@@ -312,6 +312,21 @@ TEST(QueryEngineTest, OpenSnapshotRejectsBadEpsilonCleanly) {
   EXPECT_NE(error.find("epsilon"), std::string::npos) << error;
 }
 
+TEST(QueryEngineTest, RejectsParallelLocalSearchOnTheServingPath) {
+  // Parallel local search would start threads inside pool workers, and
+  // its answer depends on the thread count.
+  const std::string path = ::testing::TempDir() + "/local_threads.snap";
+  std::string error;
+  ASSERT_TRUE(SaveSnapshot(path, TwoTrianglesAndK4(), &error)) << error;
+  EngineOptions options;
+  options.solve.local.num_threads = 2;
+  const auto engine = QueryEngine::OpenSnapshot(
+      path, SnapshotLoadMode::kCopy, options, &error);
+  EXPECT_EQ(engine, nullptr);
+  EXPECT_NE(error.find("local.num_threads = 2"), std::string::npos) << error;
+  EXPECT_DEATH(QueryEngine(TwoTrianglesAndK4(), options), "serving path");
+}
+
 TEST(QueryEngineTest, UncacheableResultsAreCounted) {
   EngineOptions options;
   options.cache_member_budget = 5;

@@ -13,9 +13,13 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <future>
 #include <memory>
+#include <regex>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -802,6 +806,183 @@ TEST(ServerTest, HalfCloseDeliversAllPendingAnswers) {
   }
   EXPECT_EQ(received, kQueries);
   harness.Shutdown();
+}
+
+/// Runs ServeBatch over `input`, capturing what it writes to out and log.
+int RunBatch(QueryEngine* engine, std::string input, std::string* out,
+             std::string* log) {
+  std::FILE* in = fmemopen(input.data(), input.size(), "r");
+  char* out_bytes = nullptr;
+  char* log_bytes = nullptr;
+  std::size_t out_size = 0;
+  std::size_t log_size = 0;
+  std::FILE* out_file = open_memstream(&out_bytes, &out_size);
+  std::FILE* log_file = open_memstream(&log_bytes, &log_size);
+  const int status = ServeBatch(engine, in, out_file, log_file);
+  std::fclose(in);
+  std::fclose(out_file);
+  std::fclose(log_file);
+  out->assign(out_bytes, out_size);
+  log->assign(log_bytes, log_size);
+  std::free(out_bytes);
+  std::free(log_bytes);
+  return status;
+}
+
+std::vector<std::string> Lines(const std::string& text) {
+  std::vector<std::string> lines;
+  std::istringstream stream(text);
+  for (std::string line; std::getline(stream, line);) lines.push_back(line);
+  return lines;
+}
+
+TEST(ServeBatchTest, AnswersInInputOrderThroughTheServerPath) {
+  Graph g = WeightedChungLu(61);
+  const Graph reference = g;
+  EngineOptions engine_options;
+  engine_options.num_threads = 2;
+  QueryEngine engine(std::move(g), engine_options);
+  const std::string input(
+      "# comment line\n"
+      "{\"id\": 1, \"k\": 3, \"r\": 4, \"f\": \"sum\"}\n"
+      "\n"
+      "{\"id\": 2, \"k\": 3\n"
+      "{\"id\": \"a\", \"admin\": \"ping\"}\n"
+      "{\"id\": 3, \"k\": 0, \"r\": 1}\n"
+      "{\"id\": \"x\", \"k\": 2, \"r\": 2, \"f\": \"min\"}");
+  std::string out;
+  std::string log;
+  EXPECT_EQ(RunBatch(&engine, input, &out, &log), 4) << log;
+
+  const std::vector<std::string> replies = Lines(out);
+  ASSERT_EQ(replies.size(), 5u) << out;
+  Query sum;
+  sum.k = 3;
+  sum.r = 4;
+  Query min;
+  min.k = 2;
+  min.r = 2;
+  min.aggregation = AggregationSpec::Min();
+  EXPECT_EQ(replies[0].rfind("{\"id\": 1, ", 0), 0u) << replies[0];
+  EXPECT_EQ(CommunitiesPortion(replies[0]),
+            ExpectedCommunitiesPortion(reference, sum));
+  // A line too broken to yield its id is named by its line number, blank
+  // and comment lines included.
+  EXPECT_EQ(replies[1].rfind("{\"id\": 4, ", 0), 0u) << replies[1];
+  EXPECT_NE(replies[1].find("\"kind\": \"parse\""), std::string::npos);
+  EXPECT_NE(replies[2].find("admin commands are not supported"),
+            std::string::npos)
+      << replies[2];
+  EXPECT_EQ(replies[3].rfind("{\"id\": 3, ", 0), 0u) << replies[3];
+  EXPECT_NE(replies[3].find("\"kind\": \"invalid\""), std::string::npos);
+  EXPECT_EQ(replies[4].rfind("{\"id\": \"x\", ", 0), 0u) << replies[4];
+  EXPECT_EQ(CommunitiesPortion(replies[4]),
+            ExpectedCommunitiesPortion(reference, min));
+  EXPECT_EQ(log.find("FAILED"), std::string::npos) << log;
+}
+
+TEST(ServeBatchTest, ThrowingSolveGetsInternalReplyAndBatchContinues) {
+  Graph g = WeightedChungLu(67, 150);
+  const Graph reference = g;
+  std::atomic<bool> threw{false};
+  EngineOptions engine_options;
+  engine_options.num_threads = 1;  // FIFO: the first line solves first
+  engine_options.cache_member_budget = 0;
+  engine_options.solve_started_hook_for_test = [&threw] {
+    if (!threw.exchange(true)) throw std::runtime_error("injected failure");
+  };
+  QueryEngine engine(std::move(g), engine_options);
+  const std::string input(
+      "{\"id\": 1, \"k\": 2, \"r\": 1, \"f\": \"sum\"}\n"
+      "{\"id\": 2, \"k\": 2, \"r\": 1, \"f\": \"sum\"}\n"
+      "{\"id\": 3, \"k\": 2, \"r\": 2, \"f\": \"sum\"}\n");
+  std::string out;
+  std::string log;
+  EXPECT_EQ(RunBatch(&engine, input, &out, &log), 3);
+
+  const std::vector<std::string> replies = Lines(out);
+  ASSERT_EQ(replies.size(), 3u) << out;
+  EXPECT_EQ(replies[0],
+            "{\"id\": 1, \"error\": \"internal error: injected failure\", "
+            "\"kind\": \"internal\"}");
+  Query query;
+  query.k = 2;
+  query.r = 1;
+  EXPECT_EQ(CommunitiesPortion(replies[1]),
+            ExpectedCommunitiesPortion(reference, query));
+  query.r = 2;
+  EXPECT_EQ(CommunitiesPortion(replies[2]),
+            ExpectedCommunitiesPortion(reference, query));
+  EXPECT_NE(log.find("internal error (id 1): injected failure"),
+            std::string::npos)
+      << log;
+}
+
+TEST(StatsSurfaceTest, EveryCounterReachesEverySurface) {
+  Graph g = WeightedChungLu(71, 150);
+  EngineOptions engine_options;
+  engine_options.num_threads = 1;
+  ServerHarness harness(std::move(g), engine_options);
+  ASSERT_TRUE(harness.ok());
+  TestClient client(harness.port());
+  ASSERT_TRUE(client.connected());
+  client.SendLine(R"({"id": 1, "k": 2, "r": 1, "f": "sum"})");
+  client.ReadLine();
+  client.SendLine(R"({"id": "s", "admin": "stats"})");
+  const std::string reply = client.ReadLine();
+
+  // The keys clients already read keep their bytes and order; new
+  // counters are only appended.
+  EXPECT_EQ(
+      std::regex_replace(reply, std::regex("[0-9]+"), "N"),
+      "{\"id\": \"s\", \"admin\": \"stats\", \"ok\": true, \"graph\": "
+      "{\"n\": N, \"m\": N}, \"engine\": {\"queries\": N, \"cache_hits\": N, "
+      "\"cache_misses\": N, \"cache_coalesced\": N, \"cache_evictions\": N, "
+      "\"cache_uncacheable\": N, \"cache_negative_hits\": N, "
+      "\"cache_expired\": N, \"cache_partial_kept\": N, "
+      "\"cache_partial_evicted\": N, \"cache_charge\": N, "
+      "\"deltas_applied\": N}, \"server\": {\"connections\": N, "
+      "\"in_flight\": N, \"connections_accepted\": N, "
+      "\"connections_refused\": N, \"queries_submitted\": N, "
+      "\"responses_sent\": N, \"responses_dropped\": N, "
+      "\"parse_errors\": N, \"invalid_queries\": N, \"server_rejected\": N, "
+      "\"server_rejected_per_conn\": N, \"admin_commands\": N, "
+      "\"oversized_lines\": N, \"drain_forced_closes\": N}}");
+  harness.Shutdown();
+
+  const std::string drained =
+      FormatStatsJson(harness.engine().stats(), harness.server().stats());
+  std::string out;
+  std::string summary;
+  ASSERT_EQ(RunBatch(&harness.engine(), R"({"k": 2, "r": 1, "f": "sum"})",
+                     &out, &summary),
+            0);
+
+  const auto object = [](const std::string& text, const std::string& key) {
+    const std::size_t open = text.find("\"" + key + "\": {");
+    return open == std::string::npos
+               ? std::string()
+               : text.substr(open, text.find('}', open) - open);
+  };
+  for (const std::string& surface : {reply, drained, summary}) {
+    for (const StatsField<EngineStats>& field : kEngineStatsFields) {
+      EXPECT_NE(object(surface, "engine").find("\"" +
+                                               std::string(field.name) +
+                                               "\": "),
+                std::string::npos)
+          << field.name << " missing from " << surface;
+    }
+    for (const StatsField<ServerStats>& field : kServerStatsFields) {
+      EXPECT_NE(object(surface, "server").find("\"" +
+                                               std::string(field.name) +
+                                               "\": "),
+                std::string::npos)
+          << field.name << " missing from " << surface;
+    }
+  }
+  EXPECT_NE(drained.find("\"queries\": 1, "), std::string::npos) << drained;
+  EXPECT_NE(summary.find("\"queries_submitted\": 1, "), std::string::npos)
+      << summary;
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include <cerrno>
 #include <cstdlib>
+#include <limits>
 #include <string>
 
 namespace ticl::tools {
@@ -26,6 +27,23 @@ inline bool ParseUnsigned(const std::string& value, unsigned long long max,
   if (errno != 0 || end != value.c_str() + value.size()) return false;
   if (parsed > max) return false;
   *out = parsed;
+  return true;
+}
+
+/// ParseUnsigned of `value`, the argument of `flag`, into an unsigned
+/// field of type T (its range is the bound); `positive` also rejects 0.
+/// On failure *error names the flag.
+template <typename T>
+bool ParseUnsignedFlag(const std::string& flag, const std::string& value,
+                       T* out, std::string* error, bool positive = false) {
+  unsigned long long number = 0;
+  if (!ParseUnsigned(value, std::numeric_limits<T>::max(), &number) ||
+      (positive && number == 0)) {
+    *error = positive ? flag + " must be a positive integer"
+                      : "invalid " + flag + ": " + value;
+    return false;
+  }
+  *out = static_cast<T>(number);
   return true;
 }
 

@@ -10,7 +10,7 @@
 //   ticl_query --graph g.txt --weights w.txt --k 2 --r 10 --f min
 //
 // Snapshot workflow (generate/weight once, query many times — see also
-// ticl_serve for batch serving):
+// ticl_served for batch and network serving):
 //   ticl_query --generate standin:dblp --save-snapshot dblp.snap
 //   ticl_query --snapshot dblp.snap --k 4 --r 5 --f sum
 //
@@ -145,8 +145,12 @@ bool ParseArgs(int argc, char** argv, CliOptions* options,
       ++i;
       return true;
     };
+    const auto take_number = [&](auto* out) {
+      std::string value;
+      return take(&value) &&
+             ticl::tools::ParseUnsignedFlag(arg, value, out, error);
+    };
     std::string value;
-    unsigned long long number = 0;
     if (arg == "--help" || arg == "-h") {
       options->help = true;
     } else if (arg == "--graph") {
@@ -171,42 +175,17 @@ bool ParseArgs(int argc, char** argv, CliOptions* options,
     } else if (arg == "--snapshot-index") {
       options->snapshot_index = true;
     } else if (arg == "--snapshot-format") {
-      if (!take(&value)) return false;
-      if (!ticl::tools::ParseUnsigned(value, 0xFFFFFFFFull, &number)) {
-        *error = "invalid --snapshot-format: " + value;
-        return false;
-      }
-      options->snapshot_format = static_cast<std::uint32_t>(number);
+      if (!take_number(&options->snapshot_format)) return false;
     } else if (arg == "--seed") {
-      if (!take(&value)) return false;
-      if (!ticl::tools::ParseUnsigned(value, ~0ull, &number)) {
-        *error = "invalid --seed: " + value;
-        return false;
-      }
-      options->seed = number;
+      if (!take_number(&options->seed)) return false;
     } else if (arg == "--k") {
-      if (!take(&value)) return false;
-      if (!ticl::tools::ParseUnsigned(value, 0xFFFFFFFFull, &number)) {
-        *error = "invalid --k: " + value;
-        return false;
-      }
-      options->query.k = static_cast<ticl::VertexId>(number);
+      if (!take_number(&options->query.k)) return false;
       options->query_requested = true;
     } else if (arg == "--r") {
-      if (!take(&value)) return false;
-      if (!ticl::tools::ParseUnsigned(value, 0xFFFFFFFFull, &number)) {
-        *error = "invalid --r: " + value;
-        return false;
-      }
-      options->query.r = static_cast<std::uint32_t>(number);
+      if (!take_number(&options->query.r)) return false;
       options->query_requested = true;
     } else if (arg == "--s") {
-      if (!take(&value)) return false;
-      if (!ticl::tools::ParseUnsigned(value, 0xFFFFFFFFull, &number)) {
-        *error = "invalid --s: " + value;
-        return false;
-      }
-      options->query.size_limit = static_cast<ticl::VertexId>(number);
+      if (!take_number(&options->query.size_limit)) return false;
       options->query_requested = true;
     } else if (arg == "--f") {
       if (!take(&options->aggregation)) return false;
@@ -236,12 +215,7 @@ bool ParseArgs(int argc, char** argv, CliOptions* options,
         return false;
       }
     } else if (arg == "--threads") {
-      if (!take(&value)) return false;
-      if (!ticl::tools::ParseUnsigned(value, 0xFFFFFFFFull, &number)) {
-        *error = "invalid --threads: " + value;
-        return false;
-      }
-      options->threads = static_cast<unsigned>(number);
+      if (!take_number(&options->threads)) return false;
     } else if (arg == "--output") {
       if (!take(&options->output)) return false;
     } else {

@@ -1,23 +1,22 @@
-// ticl_served — streaming network front end over a saved snapshot.
+// ticl_served — the serving front end over a saved snapshot.
 //
 // Loads a snapshot once, builds the QueryEngine (core index + LRU result
-// cache + thread pool), then listens on a TCP port and answers
-// newline-delimited JSON requests: the exact same wire protocol as
-// tools/ticl_serve's batch pipe (both are formatted and parsed by
-// src/serve/protocol.{h,cc}, so the two front ends cannot drift). See
-// src/serve/server.h for the event-loop, backpressure and admission
-// control mechanics.
+// cache + thread pool), then answers newline-delimited JSON requests over
+// TCP or, with --batch, from a file or stdin (replies on stdout in input
+// order). Both modes run the same parser, engine path and formatter
+// (src/serve/protocol.{h,cc}, src/serve/server.{h,cc}), so they cannot
+// drift. See src/serve/server.h for the event-loop, backpressure and
+// admission control mechanics.
 //
-//   # one shell
 //   ticl_query --generate standin:dblp --save-snapshot dblp.snap \
 //       --snapshot-index
+//   cat batch.jsonl | ticl_served --snapshot dblp.snap --mmap --batch -
 //   ticl_served --snapshot dblp.snap --mmap --port 7421 --threads 8
-//
-//   # another shell (any newline-JSON client works; nc is enough)
 //   printf '%s\n' '{"id": 1, "k": 4, "r": 5, "f": "sum"}' \
-//     | nc -N 127.0.0.1 7421
+//     | nc -N 127.0.0.1 7421    # any newline-JSON client works
 //
-// Admin commands over the same connection (disable with --no-admin):
+// Admin commands over the same connection (disable with --no-admin; batch
+// mode rejects them):
 //   {"id": "a1", "admin": "apply_delta", "path": "dblp.d1.snap"}
 //   {"id": "a2", "admin": "stats"}
 //   {"id": "a3", "admin": "drain"}     # graceful shutdown, like SIGTERM
@@ -26,7 +25,10 @@
 // SIGTERM/SIGINT start a graceful drain: the listener closes, in-flight
 // queries finish, every reply is flushed, then the process exits 0.
 //
-// Exit status: 0 on clean drain, 1 on usage errors, 2 on IO/bind errors.
+// Exit status: 0 on success (a clean drain), 1 on usage errors, 2 on
+// IO/bind errors; in batch mode also 3 if an answer failed validation or
+// its solve threw (library bug — please report) and 4 if a query line was
+// malformed or invalid (the remaining lines are still answered).
 
 #include <atomic>
 #include <cerrno>
@@ -41,21 +43,21 @@
 #include "core/search.h"
 #include "serve/engine.h"
 #include "serve/server.h"
-#include "serve/snapshot.h"
 #include "util/timing.h"
 
 #include "cli_parse.h"
 
 namespace {
 
-using ticl::tools::ParseUnsigned;
-
 struct CliOptions {
   std::string snapshot_path;
   std::vector<std::string> delta_paths;
   bool mmap = false;
+  std::string batch_path;  // empty = listen; "-" = stdin
+  /// The first listener-only flag given, for the --batch usage error.
+  std::string listener_flag;
   std::string bind_address = "127.0.0.1";
-  unsigned port = 7421;
+  std::uint16_t port = 7421;
   unsigned threads = 0;
   std::size_t cache_member_budget = 1u << 20;
   std::uint64_t cache_ttl_ms = 0;
@@ -71,7 +73,7 @@ struct CliOptions {
 
 void PrintUsage() {
   std::printf(
-      "usage: ticl_served --snapshot PATH [options]\n"
+      "usage: ticl_served --snapshot PATH [--batch PATH|-] [options]\n"
       "\n"
       "  --snapshot PATH    snapshot written by ticl_query --save-snapshot\n"
       "  --delta PATH       delta snapshot applied on top at start-up; may\n"
@@ -79,10 +81,10 @@ void PrintUsage() {
       "                     be applied live via the apply_delta admin\n"
       "                     command)\n"
       "  --mmap             serve the snapshot zero-copy via mmap\n"
-      "  --bind ADDR        numeric IPv4 address to bind "
-      "(default 127.0.0.1)\n"
-      "  --port N           TCP port; 0 picks an ephemeral port "
-      "(default 7421)\n"
+      "  --batch PATH       answer the JSONL query file PATH ('-' = stdin)\n"
+      "                     on stdout, in input order, then exit; opens no\n"
+      "                     socket, so the listener flags below are usage\n"
+      "                     errors with it\n"
       "  --threads N        worker threads (default: hardware "
       "concurrency)\n"
       "  --cache N          LRU result-cache budget in cached community\n"
@@ -96,6 +98,12 @@ void PrintUsage() {
       "                     local-random|min-peel|max-components "
       "(default auto)\n"
       "  --epsilon X        approximation ratio for --solver approx\n"
+      "\n"
+      "Listener flags:\n"
+      "  --bind ADDR        numeric IPv4 address to bind "
+      "(default 127.0.0.1)\n"
+      "  --port N           TCP port; 0 picks an ephemeral port "
+      "(default 7421)\n"
       "  --max-in-flight N  admission control: queries inside the engine\n"
       "                     at once; excess load is rejected with a JSON\n"
       "                     error (default 256)\n"
@@ -109,7 +117,7 @@ void PrintUsage() {
       "                     commands\n"
       "\n"
       "Wire protocol: one JSON request per line in, one JSON reply per\n"
-      "line out — identical to ticl_serve's batch pipe. See README.\n");
+      "line out, the same in both modes. See README.\n");
 }
 
 bool ParseArgs(int argc, char** argv, CliOptions* options,
@@ -124,8 +132,19 @@ bool ParseArgs(int argc, char** argv, CliOptions* options,
       *out = argv[++i];
       return true;
     };
+    // Strict: a typo'd value (say a TTL silently parsing as 0, which
+    // would disable the staleness bound asked for) is a usage error.
+    const auto take_number = [&](auto* out, bool positive = false) {
+      std::string value;
+      return take(&value) && ticl::tools::ParseUnsignedFlag(
+                                 arg, value, out, error, positive);
+    };
+    if (arg == "--bind" || arg == "--port" || arg == "--max-in-flight" ||
+        arg == "--max-in-flight-per-conn" || arg == "--max-connections" ||
+        arg == "--no-admin") {
+      if (options->listener_flag.empty()) options->listener_flag = arg;
+    }
     std::string value;
-    unsigned long long number = 0;
     if (arg == "--help" || arg == "-h") {
       options->help = true;
     } else if (arg == "--snapshot") {
@@ -135,36 +154,22 @@ bool ParseArgs(int argc, char** argv, CliOptions* options,
       options->delta_paths.push_back(value);
     } else if (arg == "--mmap") {
       options->mmap = true;
+    } else if (arg == "--batch") {
+      if (!take(&options->batch_path)) return false;
+      if (options->batch_path.empty()) {
+        *error = "--batch needs a path or '-'";
+        return false;
+      }
     } else if (arg == "--bind") {
       if (!take(&options->bind_address)) return false;
     } else if (arg == "--port") {
-      if (!take(&value)) return false;
-      if (!ParseUnsigned(value, 65535, &number)) {
-        *error = "invalid --port: " + value;
-        return false;
-      }
-      options->port = static_cast<unsigned>(number);
+      if (!take_number(&options->port)) return false;
     } else if (arg == "--threads") {
-      if (!take(&value)) return false;
-      if (!ParseUnsigned(value, 0xFFFFFFFFull, &number)) {
-        *error = "invalid --threads: " + value;
-        return false;
-      }
-      options->threads = static_cast<unsigned>(number);
+      if (!take_number(&options->threads)) return false;
     } else if (arg == "--cache") {
-      if (!take(&value)) return false;
-      if (!ParseUnsigned(value, ~0ull, &number)) {
-        *error = "invalid --cache: " + value;
-        return false;
-      }
-      options->cache_member_budget = number;
+      if (!take_number(&options->cache_member_budget)) return false;
     } else if (arg == "--cache-ttl-ms") {
-      if (!take(&value)) return false;
-      if (!ParseUnsigned(value, ~0ull, &number)) {
-        *error = "invalid --cache-ttl-ms: " + value;
-        return false;
-      }
-      options->cache_ttl_ms = number;
+      if (!take_number(&options->cache_ttl_ms)) return false;
     } else if (arg == "--no-partial-invalidation") {
       options->cache_partial = false;
     } else if (arg == "--solver") {
@@ -176,32 +181,22 @@ bool ParseArgs(int argc, char** argv, CliOptions* options,
         return false;
       }
     } else if (arg == "--max-in-flight") {
-      if (!take(&value)) return false;
-      if (!ParseUnsigned(value, ~0ull, &number) || number == 0) {
-        *error = "--max-in-flight must be a positive integer";
-        return false;
-      }
-      options->max_in_flight = number;
+      if (!take_number(&options->max_in_flight, true)) return false;
     } else if (arg == "--max-in-flight-per-conn") {
-      if (!take(&value)) return false;
-      if (!ParseUnsigned(value, ~0ull, &number)) {
-        *error = "invalid --max-in-flight-per-conn: " + value;
-        return false;
-      }
-      options->max_in_flight_per_conn = number;
+      if (!take_number(&options->max_in_flight_per_conn)) return false;
     } else if (arg == "--max-connections") {
-      if (!take(&value)) return false;
-      if (!ParseUnsigned(value, ~0ull, &number) || number == 0) {
-        *error = "--max-connections must be a positive integer";
-        return false;
-      }
-      options->max_connections = number;
+      if (!take_number(&options->max_connections, true)) return false;
     } else if (arg == "--no-admin") {
       options->admin = false;
     } else {
       *error = "unknown argument: " + arg;
       return false;
     }
+  }
+  if (!options->batch_path.empty() && !options->listener_flag.empty()) {
+    *error = options->listener_flag + " is a listener flag; --batch opens "
+             "no socket";
+    return false;
   }
   return true;
 }
@@ -266,6 +261,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", error.c_str());
     return 2;
   }
+  // Delta chain: each file names its parent by fingerprint, so a
+  // mis-ordered chain fails with a chain error before any mutation.
   for (const std::string& delta_path : options.delta_paths) {
     if (!engine->ApplyDeltaSnapshotFile(delta_path, &error)) {
       std::fprintf(stderr, "error: %s\n", error.c_str());
@@ -273,10 +270,34 @@ int main(int argc, char** argv) {
     }
   }
   const double start_seconds = start_timer.ElapsedSeconds();
+  std::fprintf(stderr,
+               "opened %s in %.3fs (n=%u m=%llu, %s, core index (k_max=%u) "
+               "%s), %u worker threads\n",
+               options.snapshot_path.c_str(), start_seconds,
+               engine->graph().num_vertices(),
+               static_cast<unsigned long long>(engine->graph().num_edges()),
+               engine->snapshot_mapped() ? "mmap zero-copy" : "copy-load",
+               engine->core_index().degeneracy(),
+               engine->index_from_snapshot() ? "from snapshot" : "rebuilt",
+               engine->num_threads());
+
+  if (!options.batch_path.empty()) {
+    std::FILE* in = options.batch_path == "-"
+                        ? stdin
+                        : std::fopen(options.batch_path.c_str(), "r");
+    if (in == nullptr) {
+      std::fprintf(stderr, "error: cannot open %s\n",
+                   options.batch_path.c_str());
+      return 2;
+    }
+    const int status = ticl::ServeBatch(engine.get(), in, stdout, stderr);
+    if (in != stdin) std::fclose(in);
+    return status;
+  }
 
   ticl::ServerOptions server_options;
   server_options.bind_address = options.bind_address;
-  server_options.port = static_cast<std::uint16_t>(options.port);
+  server_options.port = options.port;
   server_options.max_in_flight = options.max_in_flight;
   server_options.max_in_flight_per_conn = options.max_in_flight_per_conn;
   server_options.max_connections = options.max_connections;
@@ -298,16 +319,6 @@ int main(int argc, char** argv) {
   std::signal(SIGPIPE, SIG_IGN);
 
   std::fprintf(stderr,
-               "opened %s in %.3fs (n=%u m=%llu, %s, core index (k_max=%u) "
-               "%s), %u worker threads\n",
-               options.snapshot_path.c_str(), start_seconds,
-               engine->graph().num_vertices(),
-               static_cast<unsigned long long>(engine->graph().num_edges()),
-               engine->snapshot_mapped() ? "mmap zero-copy" : "copy-load",
-               engine->core_index().degeneracy(),
-               engine->index_from_snapshot() ? "from snapshot" : "rebuilt",
-               engine->num_threads());
-  std::fprintf(stderr,
                "listening on %s:%u (max %zu connections, %zu in-flight "
                "queries, admin %s) — SIGTERM drains gracefully\n",
                options.bind_address.c_str(), server.port(),
@@ -319,30 +330,7 @@ int main(int argc, char** argv) {
   // signal from here on is a no-op instead of a use-after-lifetime.
   g_server.store(nullptr, std::memory_order_release);
 
-  const ticl::ServerStats server_stats = server.stats();
-  const ticl::EngineStats engine_stats = engine->stats();
-  std::fprintf(
-      stderr,
-      "drained: %llu connections, %llu queries answered (%llu rejected, "
-      "%llu per-conn rejected, %llu invalid, %llu parse errors, %llu "
-      "dropped), cache %llu hits (%llu negative) / %llu misses / %llu "
-      "coalesced / %llu uncacheable / %llu expired, %llu deltas applied "
-      "(%llu entries kept / %llu evicted by partial invalidation)\n",
-      static_cast<unsigned long long>(server_stats.connections_accepted),
-      static_cast<unsigned long long>(server_stats.responses_sent),
-      static_cast<unsigned long long>(server_stats.server_rejected),
-      static_cast<unsigned long long>(server_stats.server_rejected_per_conn),
-      static_cast<unsigned long long>(server_stats.invalid_queries),
-      static_cast<unsigned long long>(server_stats.parse_errors),
-      static_cast<unsigned long long>(server_stats.responses_dropped),
-      static_cast<unsigned long long>(engine_stats.cache_hits),
-      static_cast<unsigned long long>(engine_stats.cache_negative_hits),
-      static_cast<unsigned long long>(engine_stats.cache_misses),
-      static_cast<unsigned long long>(engine_stats.cache_coalesced),
-      static_cast<unsigned long long>(engine_stats.cache_uncacheable),
-      static_cast<unsigned long long>(engine_stats.cache_expired),
-      static_cast<unsigned long long>(engine_stats.deltas_applied),
-      static_cast<unsigned long long>(engine_stats.cache_partial_kept),
-      static_cast<unsigned long long>(engine_stats.cache_partial_evicted));
+  std::fprintf(stderr, "drained: %s\n",
+               ticl::FormatStatsJson(engine->stats(), server.stats()).c_str());
   return 0;
 }
