@@ -1,16 +1,16 @@
 // Delta maintenance vs full rebuild: the number that justifies the
 // dynamic-graph machinery. After a churn delta lands, the serving stack
 // needs (a) the edited CSR graph and (b) a CoreIndex for it. Both paths
-// pay the CSR merge and the per-level re-bucketing; they differ in how
-// the core numbers are obtained:
+// pay the CSR merge; they differ in how the core numbers are obtained
+// (the index is the core numbers, so wrapping them is O(n)):
 //
 //   full_rebuild/<churn>   ApplyDeltaToGraph + CoreIndex(g') — fresh
 //                          O(n + m) bucket-peel decomposition
 //   maintain/<churn>       ApplyDeltaToGraph + CoreMaintainer fed the
 //                          delta + CoreIndex::FromCoreNumbers — the peel
 //                          is replaced by O(affected subgraph) traversals
-//   maintain_core_only     the core-number update alone (no CSR merge,
-//                          no re-bucketing): the asymptotic story
+//   maintain_core_only     the core-number update alone (no CSR merge):
+//                          the asymptotic story
 //   rebuild_core_only      the decomposition alone, for the same story
 //
 // churn is edges churned per side (d deletes + d inserts), so 2d edits.

@@ -25,8 +25,7 @@ ComponentLabels ConnectedComponents(const Graph& g);
 /// Connected components of the subgraph induced by `members`.
 /// Each returned component is sorted ascending. `members` must not contain
 /// duplicates. Complexity O(sum of member degrees). Takes a span so callers
-/// holding zero-copy views (CoreIndex member lists over a mapped snapshot)
-/// avoid materializing a vector.
+/// holding a view of a member array need not copy it into a vector.
 std::vector<VertexList> ComponentsOfSubset(const Graph& g,
                                            std::span<const VertexId> members);
 

@@ -90,14 +90,22 @@ CoreDecompositionResult CoreDecompositionNaive(const Graph& g) {
   return out;
 }
 
-VertexList MaximalKCore(const Graph& g, VertexId k) {
-  const CoreDecompositionResult decomp = CoreDecomposition(g);
-  VertexList members;
-  const VertexId n = g.num_vertices();
-  for (VertexId v = 0; v < n; ++v) {
-    if (decomp.core[v] >= k) members.push_back(v);
+VertexList VerticesWithCoreAtLeast(std::span<const VertexId> core,
+                                   VertexId k) {
+  // Write every id and advance the cursor only past members: no branch to
+  // mispredict when ids are shuffled relative to core numbers.
+  VertexList members(core.size());
+  std::size_t count = 0;
+  for (std::size_t v = 0; v < core.size(); ++v) {
+    members[count] = static_cast<VertexId>(v);
+    count += static_cast<std::size_t>(core[v] >= k);
   }
+  members.resize(count);
   return members;
+}
+
+VertexList MaximalKCore(const Graph& g, VertexId k) {
+  return VerticesWithCoreAtLeast(CoreDecomposition(g).core, k);
 }
 
 std::vector<VertexList> KCoreComponents(const Graph& g, VertexId k) {

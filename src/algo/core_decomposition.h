@@ -5,6 +5,7 @@
 #ifndef TICL_ALGO_CORE_DECOMPOSITION_H_
 #define TICL_ALGO_CORE_DECOMPOSITION_H_
 
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -26,6 +27,12 @@ CoreDecompositionResult CoreDecomposition(const Graph& g);
 /// vertex (O(n^2 + m) worst case). Exists to cross-check the bucket peel in
 /// tests and to quantify its benefit in bench_ablation_peel.
 CoreDecompositionResult CoreDecompositionNaive(const Graph& g);
+
+/// {v : core[v] >= k}, sorted ascending: the maximal k-core when `core`
+/// is a core decomposition. One branchless O(n) scan; shared by
+/// MaximalKCore and CoreIndex::CoreMembers so both seed identically.
+VertexList VerticesWithCoreAtLeast(std::span<const VertexId> core,
+                                   VertexId k);
 
 /// Vertices of the maximal k-core (sorted ascending; empty if none).
 VertexList MaximalKCore(const Graph& g, VertexId k);

@@ -34,7 +34,7 @@ CoreIndex::CoreIndex(const Graph& g) : g_(&g), fingerprint_(g.fingerprint()) {
   CoreDecompositionResult decomp = CoreDecomposition(g);
   owned_core_ = std::move(decomp.core);
   degeneracy_ = decomp.degeneracy;
-  BuildLevels();
+  core_ = owned_core_;
 }
 
 std::unique_ptr<CoreIndex> CoreIndex::FromCoreNumbers(
@@ -45,67 +45,28 @@ std::unique_ptr<CoreIndex> CoreIndex::FromCoreNumbers(
   index->g_ = &g;
   index->fingerprint_ = g.fingerprint();
   index->owned_core_ = std::move(core);
-  index->degeneracy_ = 0;
-  for (const VertexId c : index->owned_core_) {
-    index->degeneracy_ = std::max(index->degeneracy_, c);
+  index->core_ = index->owned_core_;
+  if (!index->core_.empty()) {
+    index->degeneracy_ = *std::max_element(index->core_.begin(),
+                                           index->core_.end());
   }
-  index->BuildLevels();
   return index;
 }
 
-void CoreIndex::BuildLevels() {
-  const std::size_t levels = static_cast<std::size_t>(degeneracy_) + 2;
-  // Exact per-level sizes first (suffix sums of the core-number histogram)
-  // so the flat member array is filled with one cursor sweep. at_least[k] =
-  // |{v : core(v) >= k}| = size of the maximal k-core.
-  std::vector<std::size_t> at_least(levels + 1, 0);
-  for (const VertexId c : owned_core_) ++at_least[c];
-  for (VertexId k = degeneracy_; k >= 1; --k) at_least[k] += at_least[k + 1];
-
-  owned_level_offsets_.assign(levels, 0);
-  for (VertexId k = 1; k <= degeneracy_; ++k) {
-    owned_level_offsets_[k + 1] = owned_level_offsets_[k] + at_least[k];
-  }
-  owned_members_.resize(owned_level_offsets_[degeneracy_ + 1]);
-
-  // One ascending sweep fills every level at once: v belongs to the maximal
-  // k-core for every k <= core(v), and writing in vertex order keeps each
-  // level sorted without a per-level sort.
-  std::vector<std::uint64_t> cursor(owned_level_offsets_.begin(),
-                                    owned_level_offsets_.end());
-  const VertexId n = g_->num_vertices();
-  for (VertexId v = 0; v < n; ++v) {
-    for (VertexId k = 1; k <= owned_core_[v]; ++k) {
-      owned_members_[cursor[k]++] = v;
-    }
-  }
-
-  core_ = owned_core_;
-  level_offsets_ = owned_level_offsets_;
-  members_ = owned_members_;
-}
-
-std::size_t CoreIndex::CoreSize(VertexId k) const {
-  return CoreMembers(k).size();
-}
-
-std::span<const VertexId> CoreIndex::CoreMembers(VertexId k) const {
+VertexList CoreIndex::CoreMembers(VertexId k) const {
   TICL_CHECK_MSG(k >= 1, "CoreIndex answers k >= 1");
   if (k > degeneracy_) return {};
-  return members_.subspan(level_offsets_[k],
-                          level_offsets_[k + 1] - level_offsets_[k]);
+  return VerticesWithCoreAtLeast(core_, k);
 }
 
 std::vector<VertexList> CoreIndex::CoreComponents(VertexId k) const {
-  const std::span<const VertexId> members = CoreMembers(k);
+  const VertexList members = CoreMembers(k);
   if (members.empty()) return {};
   return ComponentsOfSubset(*g_, members);
 }
 
 std::size_t CoreIndex::SerializedSize() const {
-  return kSerializedHeaderBytes +
-         level_offsets_.size() * sizeof(std::uint64_t) +
-         core_.size() * sizeof(VertexId) + members_.size() * sizeof(VertexId);
+  return kSerializedHeaderBytes + core_.size() * sizeof(VertexId);
 }
 
 void CoreIndex::AppendSerialized(std::vector<unsigned char>* out) const {
@@ -115,14 +76,8 @@ void CoreIndex::AppendSerialized(std::vector<unsigned char>* out) const {
   AppendValue(out, fingerprint_.csr_hash);
   AppendValue(out, static_cast<std::uint32_t>(degeneracy_));
   AppendValue(out, std::uint32_t{0});  // reserved
-  const auto append_array = [out](const void* data, std::size_t bytes) {
-    const auto* p = static_cast<const unsigned char*>(data);
-    out->insert(out->end(), p, p + bytes);
-  };
-  append_array(level_offsets_.data(),
-               level_offsets_.size() * sizeof(std::uint64_t));
-  append_array(core_.data(), core_.size() * sizeof(VertexId));
-  append_array(members_.data(), members_.size() * sizeof(VertexId));
+  const auto* p = reinterpret_cast<const unsigned char*>(core_.data());
+  out->insert(out->end(), p, p + core_.size() * sizeof(VertexId));
 }
 
 std::unique_ptr<CoreIndex> CoreIndex::Deserialize(const Graph& g,
@@ -135,9 +90,21 @@ std::unique_ptr<CoreIndex> CoreIndex::Deserialize(const Graph& g,
     return nullptr;
   };
   if (size < kSerializedHeaderBytes) return fail("payload too small");
+  const std::uint64_t n = ReadValue<std::uint64_t>(data, 0);
+  // n is checked against the graph below; bound it by the payload first so
+  // the size arithmetic cannot wrap on a crafted header.
+  if (n > (size - kSerializedHeaderBytes) / sizeof(VertexId) ||
+      size != kSerializedHeaderBytes + n * sizeof(VertexId)) {
+    return fail("payload size is not 32 + 4n bytes");
+  }
+  // The core numbers are read through a span, so the base must be 8-byte
+  // aligned (the snapshot layer aligns sections).
+  if (reinterpret_cast<std::uintptr_t>(data) % 8 != 0) {
+    return fail("payload not 8-byte aligned");
+  }
 
   GraphFingerprint stored;
-  stored.num_vertices = ReadValue<std::uint64_t>(data, 0);
+  stored.num_vertices = n;
   stored.adjacency_len = ReadValue<std::uint64_t>(data, 8);
   stored.csr_hash = ReadValue<std::uint64_t>(data, 16);
   if (!(stored == g.fingerprint())) {
@@ -145,63 +112,16 @@ std::unique_ptr<CoreIndex> CoreIndex::Deserialize(const Graph& g,
                 "index)");
   }
   const auto degeneracy = ReadValue<std::uint32_t>(data, 24);
-  const std::uint64_t n = stored.num_vertices;
-  if (n == 0 ? degeneracy != 0 : degeneracy >= n) {
-    return fail("degeneracy out of range");
+  const std::span<const VertexId> core(
+      reinterpret_cast<const VertexId*>(data + kSerializedHeaderBytes),
+      static_cast<std::size_t>(n));
+  VertexId max_core = 0;
+  for (const VertexId c : core) {
+    if (c > degeneracy) return fail("core number exceeds degeneracy");
+    max_core = std::max(max_core, c);
   }
-
-  const std::uint64_t levels = static_cast<std::uint64_t>(degeneracy) + 2;
-  std::uint64_t expected = kSerializedHeaderBytes + levels * 8 + n * 4;
-  if (size < expected) return fail("payload truncated (level table)");
-  // The level table and member/core arrays are read via spans below, so
-  // the base must be 8-byte aligned (the snapshot layer aligns sections).
-  if (reinterpret_cast<std::uintptr_t>(data) % 8 != 0) {
-    return fail("payload not 8-byte aligned");
-  }
-  const auto* level_offsets = reinterpret_cast<const std::uint64_t*>(
-      data + kSerializedHeaderBytes);
-  if (level_offsets[0] != 0 || level_offsets[1] != 0) {
-    return fail("level table does not start at 0");
-  }
-  for (std::uint64_t k = 1; k + 1 < levels; ++k) {
-    if (level_offsets[k] > level_offsets[k + 1]) {
-      return fail("level table not monotone");
-    }
-  }
-  const std::uint64_t total = level_offsets[levels - 1];
-  if (total > (size - expected) / 4) {
-    return fail("declared member count exceeds payload");
-  }
-  expected += total * 4;
-  if (size != expected) return fail("payload size mismatch");
-
-  const auto* core =
-      reinterpret_cast<const VertexId*>(data + kSerializedHeaderBytes +
-                                        levels * 8);
-  const auto* members = core + n;
-  for (std::uint64_t v = 0; v < n; ++v) {
-    if (core[v] > degeneracy) return fail("core number exceeds degeneracy");
-  }
-  // Per level: strictly ascending vertex ids, every member's core number at
-  // least k. Together with the exact per-level counts below, this pins the
-  // level to exactly {v : core(v) >= k}, so a checksum-passing but
-  // inconsistent section cannot smuggle wrong seeds into the solvers.
-  std::vector<std::uint64_t> at_least(levels + 1, 0);
-  for (std::uint64_t v = 0; v < n; ++v) ++at_least[core[v]];
-  for (std::uint64_t k = degeneracy; k >= 1; --k) {
-    at_least[k] += at_least[k + 1];
-  }
-  for (std::uint64_t k = 1; k <= degeneracy; ++k) {
-    const std::uint64_t begin = level_offsets[k];
-    const std::uint64_t end = level_offsets[k + 1];
-    if (end - begin != at_least[k]) return fail("level size inconsistent");
-    for (std::uint64_t i = begin; i < end; ++i) {
-      if (members[i] >= n) return fail("member id out of range");
-      if (core[members[i]] < k) return fail("member below level core");
-      if (i > begin && members[i - 1] >= members[i]) {
-        return fail("level members not strictly ascending");
-      }
-    }
+  if (max_core != degeneracy) {
+    return fail("degeneracy is not the largest core number");
   }
 
   std::unique_ptr<CoreIndex> index(new CoreIndex());
@@ -209,16 +129,10 @@ std::unique_ptr<CoreIndex> CoreIndex::Deserialize(const Graph& g,
   index->fingerprint_ = stored;
   index->degeneracy_ = static_cast<VertexId>(degeneracy);
   if (copy_data) {
-    index->owned_level_offsets_.assign(level_offsets, level_offsets + levels);
-    index->owned_core_.assign(core, core + n);
-    index->owned_members_.assign(members, members + total);
-    index->level_offsets_ = index->owned_level_offsets_;
+    index->owned_core_.assign(core.begin(), core.end());
     index->core_ = index->owned_core_;
-    index->members_ = index->owned_members_;
   } else {
-    index->level_offsets_ = {level_offsets, levels};
-    index->core_ = {core, n};
-    index->members_ = {members, total};
+    index->core_ = core;
   }
   return index;
 }
@@ -228,8 +142,7 @@ VertexList IndexedMaximalKCore(const CoreIndex* index, const Graph& g,
   if (index == nullptr) return MaximalKCore(g, k);
   TICL_CHECK_MSG(index->fingerprint() == g.fingerprint(),
                  "CoreIndex was built for a different graph");
-  const std::span<const VertexId> members = index->CoreMembers(k);
-  return VertexList(members.begin(), members.end());
+  return index->CoreMembers(k);
 }
 
 std::vector<VertexList> IndexedKCoreComponents(const CoreIndex* index,

@@ -5,17 +5,15 @@
 // MaximalKCore / KCoreComponents re-run the full O(n + m) bucket peel each
 // call. That is the right trade for one-shot use; under the serve workload
 // (thousands of queries with varying k over one immutable graph) it is
-// pure repeated work. CoreIndex runs the decomposition once and stores,
-// for each k in [1, degeneracy], the sorted member list of the maximal
-// k-core (total memory: sum_v core(v) ids, i.e. at most n * degeneracy and
-// in practice far less), so per-query seeding drops from a graph-sized
-// peel to a copy proportional to the answer.
+// pure repeated work. CoreIndex runs the decomposition once and keeps the
+// core numbers. They answer every seeding call on their own: the maximal
+// k-core is exactly {v : core(v) >= k}, which one branchless O(n) scan
+// over the array returns already sorted, without touching the adjacency.
 //
-// Storage is flat and span-backed: one core-number array, one concatenated
-// member array, one per-level offset table. A decomposition-built index
-// owns the arrays; a Deserialize()d one can either copy them or view them
-// in place (zero-copy over a MappedSnapshot's core-index section). The
-// flat layout doubles as the snapshot v2 serialization format — see
+// The core-number array is either owned (decomposition-built, or
+// maintained across a delta) or a view of external memory (a
+// Deserialize()d index over a MappedSnapshot's core-index section). The
+// array doubles as the snapshot v2 serialization format — see
 // AppendSerialized() for the byte layout.
 //
 // The index is immutable after construction and safe to share across
@@ -37,8 +35,7 @@ namespace ticl {
 
 class CoreIndex {
  public:
-  /// Runs the O(n + m) decomposition and bucket-builds the per-k member
-  /// lists. The graph must outlive the index.
+  /// Runs the O(n + m) decomposition. The graph must outlive the index.
   explicit CoreIndex(const Graph& g);
 
   CoreIndex(const CoreIndex&) = delete;
@@ -46,11 +43,11 @@ class CoreIndex {
 
   /// Builds the index from already-known core numbers — the incremental
   /// maintenance path (algo/core_maintenance.h): after a delta is applied,
-  /// the maintained core numbers describe the new graph and only the flat
-  /// per-level member lists need re-bucketing, skipping the O(n + m)
-  /// decomposition. `core` must equal CoreDecomposition(g).core exactly;
-  /// this is trusted here (cheap shape checks only) and asserted
-  /// bit-for-bit by the randomized maintenance tests.
+  /// the maintained core numbers describe the new graph, so the index
+  /// stores them and skips the O(n + m) decomposition; the only other work
+  /// is the O(n) degeneracy maximum. `core` must equal
+  /// CoreDecomposition(g).core exactly; this is trusted here (size check
+  /// only) and asserted bit-for-bit by the randomized maintenance tests.
   static std::unique_ptr<CoreIndex> FromCoreNumbers(const Graph& g,
                                                     std::vector<VertexId> core);
 
@@ -67,17 +64,14 @@ class CoreIndex {
   /// core_numbers()[v] = largest k such that v belongs to a k-core.
   std::span<const VertexId> core_numbers() const { return core_; }
 
-  /// Member count of the maximal k-core (0 above the degeneracy).
-  std::size_t CoreSize(VertexId k) const;
-
   /// Members of the maximal k-core, sorted ascending. Identical to
-  /// MaximalKCore(graph(), k) but O(1) (a subspan of the flat member
-  /// array) instead of O(n + m).
-  std::span<const VertexId> CoreMembers(VertexId k) const;
+  /// MaximalKCore(graph(), k), but one O(n) scan of the core numbers
+  /// instead of an O(n + m) peel.
+  VertexList CoreMembers(VertexId k) const;
 
   /// Connected components of the maximal k-core, each sorted ascending.
   /// Identical to KCoreComponents(graph(), k); the BFS split runs on the
-  /// stored member list, so cost is proportional to the k-core, not the
+  /// member list, so its cost is proportional to the k-core, not the
   /// graph.
   std::vector<VertexList> CoreComponents(VertexId k) const;
 
@@ -85,32 +79,29 @@ class CoreIndex {
   //
   // Little-endian, 8-byte-aligned base required:
   //
-  //   offset          size        field
-  //   0               8           fingerprint.num_vertices (n)
-  //   8               8           fingerprint.adjacency_len (2m)
-  //   16              8           fingerprint.csr_hash
-  //   24              4           degeneracy d (uint32)
-  //   28              4           reserved (0)
-  //   32              (d+2)*8     level_offsets (uint64): level k in [1, d]
-  //                               occupies members[level_offsets[k],
-  //                               level_offsets[k+1]); entries 0 and 1 are 0
-  //   32+(d+2)*8      n*4         core_numbers (uint32)
-  //   ...             total*4     members (uint32), total = level_offsets[d+1]
+  //   offset  size  field
+  //   0       8     fingerprint.num_vertices (n)
+  //   8       8     fingerprint.adjacency_len (2m)
+  //   16      8     fingerprint.csr_hash
+  //   24      4     degeneracy d (uint32) = max over core_numbers
+  //   28      4     reserved (0)
+  //   32      n*4   core_numbers (uint32), each <= d
+  //
+  // The payload is exactly 32 + 4n bytes.
 
   /// Appends the serialized payload (SerializedSize() bytes) to *out.
   void AppendSerialized(std::vector<unsigned char>* out) const;
 
   std::size_t SerializedSize() const;
 
-  /// Reconstructs an index from a serialized payload, validating the
-  /// payload exhaustively (sizes, level table, member ranges and order,
-  /// consistency with the core numbers) and checking the stored
-  /// fingerprint against `g`. `data` must be 8-byte aligned (the snapshot
-  /// layer aligns sections). With copy_data = false the index views `data`
-  /// in place — it must then outlive the index (the MappedSnapshot
-  /// zero-copy path); with copy_data = true the arrays are copied and
-  /// `data` may be discarded. Returns nullptr and sets *error on any
-  /// validation failure.
+  /// Reconstructs an index from a serialized payload, checking the size
+  /// (exactly 32 + 4n), the 8-byte alignment, the stored fingerprint
+  /// against `g`, every core number <= the degeneracy, and the degeneracy
+  /// == the largest core number. The snapshot layer aligns sections. With
+  /// copy_data = false the index views `data` in place — it must then
+  /// outlive the index (the MappedSnapshot zero-copy path); with
+  /// copy_data = true the array is copied and `data` may be discarded.
+  /// Returns nullptr and sets *error on any validation failure.
   static std::unique_ptr<CoreIndex> Deserialize(const Graph& g,
                                                 const unsigned char* data,
                                                 std::size_t size,
@@ -120,22 +111,13 @@ class CoreIndex {
  private:
   CoreIndex() = default;
 
-  /// Bucket-builds level_offsets_/members_ from owned_core_ (which must be
-  /// set, along with g_/fingerprint_) and installs the span views. Shared
-  /// by the decomposition constructor and FromCoreNumbers.
-  void BuildLevels();
-
   const Graph* g_ = nullptr;
   GraphFingerprint fingerprint_;
   VertexId degeneracy_ = 0;
-  // Owning backend; empty when the spans view external (mapped) memory.
+  // Owning backend; empty when core_ views external (mapped) memory.
   std::vector<VertexId> owned_core_;
-  std::vector<std::uint64_t> owned_level_offsets_;
-  std::vector<VertexId> owned_members_;
-  // Views — the single source of truth for readers.
+  // The single source of truth for readers.
   std::span<const VertexId> core_;
-  std::span<const std::uint64_t> level_offsets_;  // degeneracy_ + 2 entries
-  std::span<const VertexId> members_;
 };
 
 /// Seeding helpers used by the solvers: consult the index when one is

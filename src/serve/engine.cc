@@ -340,8 +340,8 @@ bool QueryEngine::ApplyDelta(const GraphDelta& delta,
   }
 
   // Maintain core numbers edge by edge (deletes first — the delta's
-  // documented order), then rebuild the CSR backend once and re-bucket
-  // the per-level member lists from the maintained numbers.
+  // documented order), then rebuild the CSR backend once; the maintained
+  // numbers become the new index as they are.
   CoreMaintainer maintainer(*old_state->graph,
                             old_state->index->core_numbers());
   for (const Edge& e : delta.delete_edges) maintainer.DeleteEdge(e.u, e.v);

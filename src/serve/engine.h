@@ -189,9 +189,9 @@ struct EngineResponse {
 
 /// How OpenSnapshot materializes the file.
 enum class SnapshotLoadMode {
-  /// Copy the sections into owned heap arrays (accepts v1 and v2 files).
+  /// Copy the sections into owned heap arrays.
   kCopy,
-  /// Zero-copy mmap view (requires a v2 file; start-up is O(1) copies).
+  /// Zero-copy mmap view (start-up is O(1) copies).
   kMmap,
 };
 
@@ -207,9 +207,10 @@ class QueryEngine {
   explicit QueryEngine(Graph graph, EngineOptions options = {});
 
   /// Serves a snapshot file. Uses the persisted core index when the
-  /// snapshot carries one — both modes skip the decomposition then (kMmap
-  /// views it in place, kCopy deserializes a copy); it is rebuilt from
-  /// scratch only for index-less files. Returns nullptr and sets *error
+  /// snapshot carries a valid one — both modes skip the decomposition then
+  /// (kMmap views it in place, kCopy deserializes a copy); it is rebuilt
+  /// from scratch for index-less files and for sections that fail
+  /// validation. Returns nullptr and sets *error
   /// when the file is unreadable, invalid, has no weights, or the solve
   /// options are malformed (e.g. epsilon outside [0, 1)).
   static std::unique_ptr<QueryEngine> OpenSnapshot(const std::string& path,

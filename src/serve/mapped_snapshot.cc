@@ -5,8 +5,6 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <cstring>
-
 #include "serve/snapshot_format.h"
 #include "util/check.h"
 
@@ -43,22 +41,6 @@ std::unique_ptr<MappedSnapshot> MappedSnapshot::Open(const std::string& path,
   std::unique_ptr<MappedSnapshot> snapshot(new MappedSnapshot());
   snapshot->data_ = static_cast<unsigned char*>(map);
   snapshot->size_ = size;
-
-  // Give mmap users the same version diagnostics LoadSnapshot gives, plus
-  // a hint that v1 files need a re-save (their weights section is not
-  // 8-aligned, so they cannot be pointer-cast safely).
-  if (std::memcmp(snapshot->data_, fmt::kMagic, sizeof(fmt::kMagic)) != 0) {
-    *error = "snapshot: bad magic (not a TICL snapshot)";
-    return nullptr;
-  }
-  std::uint32_t version = 0;
-  std::memcpy(&version, snapshot->data_ + 8, sizeof(version));
-  if (version == 1) {
-    *error =
-        "snapshot: mmap loading requires format v2; re-save this v1 file "
-        "with the current writer";
-    return nullptr;
-  }
 
   fmt::ParsedSnapshot parsed;
   if (!fmt::ParseV2(snapshot->data_, size, &parsed, error)) return nullptr;

@@ -6,9 +6,8 @@
 // validation pass, and the page cache shares the bytes between every
 // process serving the same snapshot.
 //
-// Requires snapshot format v2 (its 8-byte-aligned section table is what
-// makes the direct pointer casts well-defined); v1 files are rejected with
-// a message pointing at re-saving.
+// Snapshot format v2's 8-byte-aligned section table is what makes the
+// direct pointer casts well-defined.
 //
 // Lifetime: graph() and core_index() view the mapping, so they are valid
 // exactly as long as the MappedSnapshot. The object is handed out by

@@ -59,7 +59,7 @@ bool ParseV2Table(const unsigned char* data, std::size_t size,
   std::memcpy(&version, data + 8, sizeof(version));
   if (version != 2) {
     return fail("unsupported format version " + std::to_string(version) +
-                " (ParseV2Table reads version 2)");
+                " (this build reads version 2 only)");
   }
   std::uint32_t section_count = 0;
   std::memcpy(&section_count, data + 12, sizeof(section_count));
@@ -263,57 +263,9 @@ bool WriteChecked(std::FILE* f, Fnv1a* checksum, const void* data,
   return true;
 }
 
-bool ReadChecked(std::FILE* f, Fnv1a* checksum, void* data, std::size_t bytes,
-                 const char* what, std::string* error) {
-  if (bytes == 0) return true;
-  if (std::fread(data, 1, bytes, f) != bytes) {
-    *error = std::string("snapshot: truncated file (while reading ") + what +
-             ")";
-    return false;
-  }
-  if (checksum != nullptr) checksum->Update(data, bytes);
-  return true;
-}
-
 std::uint64_t AlignUp(std::uint64_t x) {
   return (x + (fmt::kSectionAlignment - 1)) &
          ~static_cast<std::uint64_t>(fmt::kSectionAlignment - 1);
-}
-
-/// The v1 body (everything after the shared temp-file plumbing). Kept so
-/// compatibility tests and benchmarks can produce old files on demand.
-bool WriteV1Body(std::FILE* f, const Graph& g, std::string* error) {
-  const std::uint32_t version = 1;
-  const std::uint32_t flags = g.has_weights() ? fmt::kFlagHasWeights : 0;
-  const std::uint64_t n = g.num_vertices();
-  const std::uint64_t adj_len = g.adjacency().size();
-
-  // num_vertices() == 0 graphs legitimately have an empty offsets array;
-  // normalize to the canonical one-entry [0] so loads round-trip.
-  const std::vector<EdgeIndex> empty_offsets{0};
-  const std::span<const EdgeIndex> offsets =
-      g.offsets().empty() ? std::span<const EdgeIndex>(empty_offsets)
-                          : g.offsets();
-
-  Fnv1a checksum;
-  if (!WriteChecked(f, &checksum, fmt::kMagic, sizeof(fmt::kMagic), error) ||
-      !WriteChecked(f, &checksum, &version, sizeof(version), error) ||
-      !WriteChecked(f, &checksum, &flags, sizeof(flags), error) ||
-      !WriteChecked(f, &checksum, &n, sizeof(n), error) ||
-      !WriteChecked(f, &checksum, &adj_len, sizeof(adj_len), error) ||
-      !WriteChecked(f, &checksum, offsets.data(),
-                    offsets.size() * sizeof(EdgeIndex), error) ||
-      !WriteChecked(f, &checksum, g.adjacency().data(),
-                    adj_len * sizeof(VertexId), error)) {
-    return false;
-  }
-  if (g.has_weights() &&
-      !WriteChecked(f, &checksum, g.weights().data(), n * sizeof(Weight),
-                    error)) {
-    return false;
-  }
-  const std::uint64_t digest = checksum.Digest();
-  return WriteChecked(f, nullptr, &digest, sizeof(digest), error);
 }
 
 struct Section {
@@ -403,112 +355,18 @@ bool WriteV2Body(std::FILE* f, const Graph& g,
   return WriteV2Container(f, sections, error);
 }
 
-/// v1 load body. `checksum` has already consumed magic + version.
-bool LoadV1Body(std::FILE* f, Fnv1a checksum, Graph* out,
-                std::string* error) {
-  std::uint32_t flags = 0;
-  std::uint64_t n = 0;
-  std::uint64_t adj_len = 0;
-  if (!ReadChecked(f, &checksum, &flags, sizeof(flags), "flags", error) ||
-      !ReadChecked(f, &checksum, &n, sizeof(n), "vertex count", error) ||
-      !ReadChecked(f, &checksum, &adj_len, sizeof(adj_len),
-                   "adjacency length", error)) {
+/// Reads all of `path` into *buffer (operator new storage, so 8-byte
+/// aligned as ParseV2Table requires). Shared by the full-snapshot and
+/// delta-snapshot loaders.
+bool ReadWholeFile(const std::string& path, std::vector<unsigned char>* buffer,
+                   std::string* error) {
+  std::FILE* raw = std::fopen(path.c_str(), "rb");
+  if (raw == nullptr) {
+    *error = "snapshot: cannot open " + path;
     return false;
   }
-  if ((flags & ~fmt::kFlagHasWeights) != 0) {
-    *error = "snapshot: unknown flag bits set";
-    return false;
-  }
-  if (n > static_cast<std::uint64_t>(kInvalidVertex)) {
-    *error = "snapshot: vertex count exceeds VertexId range";
-    return false;
-  }
-  // Reject sizes inconsistent with the actual file before allocating.
-  const long header_end = std::ftell(f);
-  if (header_end < 0 || std::fseek(f, 0, SEEK_END) != 0) {
-    *error = "snapshot: seek failed";
-    return false;
-  }
-  const long file_size = std::ftell(f);
-  if (file_size < 0) {
-    *error = "snapshot: seek failed";
-    return false;
-  }
-  // n is already bounded by the VertexId range (so the offsets/weights
-  // terms cannot overflow); bound adj_len by the actual file size before
-  // multiplying so a crafted header cannot wrap `expected` around and
-  // sneak past this check into a huge allocation.
-  if (adj_len > static_cast<std::uint64_t>(file_size) / sizeof(VertexId)) {
-    *error = "snapshot: declared adjacency length exceeds file size";
-    return false;
-  }
-  std::uint64_t expected = static_cast<std::uint64_t>(header_end);
-  expected += (n + 1) * sizeof(EdgeIndex);
-  expected += adj_len * sizeof(VertexId);
-  if ((flags & fmt::kFlagHasWeights) != 0) expected += n * sizeof(Weight);
-  expected += sizeof(std::uint64_t);  // checksum
-  if (static_cast<std::uint64_t>(file_size) != expected) {
-    *error = "snapshot: file size " + std::to_string(file_size) +
-             " does not match declared sections (expected " +
-             std::to_string(expected) + ")";
-    return false;
-  }
-  if (std::fseek(f, header_end, SEEK_SET) != 0) {
-    *error = "snapshot: seek failed";
-    return false;
-  }
-
-  std::vector<EdgeIndex> offsets(n + 1);
-  std::vector<VertexId> adjacency(adj_len);
-  std::vector<Weight> weights;
-  if (!ReadChecked(f, &checksum, offsets.data(),
-                   offsets.size() * sizeof(EdgeIndex), "offsets", error) ||
-      !ReadChecked(f, &checksum, adjacency.data(),
-                   adj_len * sizeof(VertexId), "adjacency", error)) {
-    return false;
-  }
-  if ((flags & fmt::kFlagHasWeights) != 0) {
-    weights.resize(n);
-    if (!ReadChecked(f, &checksum, weights.data(), n * sizeof(Weight),
-                     "weights", error)) {
-      return false;
-    }
-  }
-  std::uint64_t stored_digest = 0;
-  if (!ReadChecked(f, nullptr, &stored_digest, sizeof(stored_digest),
-                   "checksum", error)) {
-    return false;
-  }
-  if (stored_digest != checksum.Digest()) {
-    *error = "snapshot: checksum mismatch (file corrupted)";
-    return false;
-  }
-
-  const std::string csr_problem = fmt::ValidateCsr(offsets, adjacency);
-  if (!csr_problem.empty()) {
-    *error = "snapshot: invalid graph data: " + csr_problem;
-    return false;
-  }
-  for (const Weight w : weights) {
-    if (!(w >= 0.0)) {  // catches negatives and NaN
-      *error = "snapshot: negative or NaN vertex weight";
-      return false;
-    }
-  }
-
-  Graph loaded(std::move(offsets), std::move(adjacency));
-  if (!weights.empty()) loaded.SetWeights(std::move(weights));
-  *out = std::move(loaded);
-  return true;
-}
-
-/// v2 copy-load: slurp the file and parse it in place, then deep-copy the
-/// sections into an owning Graph (the zero-copy alternative lives in
-/// serve/mapped_snapshot.h). When index_payload is non-null it receives a
-/// copy of the core_index section bytes (empty when absent).
-bool LoadV2Body(std::FILE* f, Graph* out,
-                std::vector<unsigned char>* index_payload,
-                std::string* error) {
+  FileGuard file(raw, "");
+  std::FILE* f = file.get();
   if (std::fseek(f, 0, SEEK_END) != 0) {
     *error = "snapshot: seek failed";
     return false;
@@ -518,28 +376,12 @@ bool LoadV2Body(std::FILE* f, Graph* out,
     *error = "snapshot: seek failed";
     return false;
   }
-  std::vector<unsigned char> buffer(static_cast<std::size_t>(file_size));
-  if (!ReadChecked(f, nullptr, buffer.data(), buffer.size(), "file", error)) {
+  buffer->resize(static_cast<std::size_t>(file_size));
+  if (!buffer->empty() &&
+      std::fread(buffer->data(), 1, buffer->size(), f) != buffer->size()) {
+    *error = "snapshot: short read from " + path;
     return false;
   }
-  fmt::ParsedSnapshot parsed;
-  if (!fmt::ParseV2(buffer.data(), buffer.size(), &parsed, error)) {
-    return false;
-  }
-  std::vector<EdgeIndex> offsets(parsed.offsets.begin(),
-                                 parsed.offsets.end());
-  std::vector<VertexId> adjacency(parsed.adjacency.begin(),
-                                  parsed.adjacency.end());
-  Graph loaded(std::move(offsets), std::move(adjacency));
-  if (!parsed.weights.empty()) {
-    loaded.SetWeights(
-        std::vector<Weight>(parsed.weights.begin(), parsed.weights.end()));
-  }
-  if (index_payload != nullptr && parsed.core_index != nullptr) {
-    index_payload->assign(parsed.core_index,
-                          parsed.core_index + parsed.core_index_size);
-  }
-  *out = std::move(loaded);
   return true;
 }
 
@@ -578,21 +420,8 @@ bool SaveSnapshot(const std::string& path, const Graph& g,
 
 bool SaveSnapshot(const std::string& path, const Graph& g,
                   const SaveSnapshotOptions& options, std::string* error) {
-  if (options.version != 1 && options.version != 2) {
-    *error = "snapshot: unsupported writer version " +
-             std::to_string(options.version);
-    return false;
-  }
-  if (options.version == 1 && options.core_index != nullptr) {
-    *error = "snapshot: format v1 cannot embed a core index (use v2)";
-    return false;
-  }
   return AtomicWrite(
-      path,
-      [&](std::FILE* f) {
-        return options.version == 2 ? WriteV2Body(f, g, options, error)
-                                    : WriteV1Body(f, g, error);
-      },
+      path, [&](std::FILE* f) { return WriteV2Body(f, g, options, error); },
       error);
 }
 
@@ -604,34 +433,28 @@ bool LoadSnapshotWithIndex(const std::string& path, Graph* out,
                            std::vector<unsigned char>* core_index_payload,
                            std::string* error) {
   if (core_index_payload != nullptr) core_index_payload->clear();
-  std::FILE* raw = std::fopen(path.c_str(), "rb");
-  if (raw == nullptr) {
-    *error = "snapshot: cannot open " + path;
+  std::vector<unsigned char> buffer;
+  if (!ReadWholeFile(path, &buffer, error)) return false;
+  fmt::ParsedSnapshot parsed;
+  if (!fmt::ParseV2(buffer.data(), buffer.size(), &parsed, error)) {
     return false;
   }
-  FileGuard file(raw, "");
-  std::FILE* f = file.get();
-
-  char magic[8];
-  std::uint32_t version = 0;
-  Fnv1a checksum;
-  if (!ReadChecked(f, &checksum, magic, sizeof(magic), "magic", error)) {
-    return false;
+  // Deep-copy the sections into an owning Graph (the zero-copy
+  // alternative lives in serve/mapped_snapshot.h).
+  Graph loaded(std::vector<EdgeIndex>(parsed.offsets.begin(),
+                                      parsed.offsets.end()),
+               std::vector<VertexId>(parsed.adjacency.begin(),
+                                     parsed.adjacency.end()));
+  if (!parsed.weights.empty()) {
+    loaded.SetWeights(
+        std::vector<Weight>(parsed.weights.begin(), parsed.weights.end()));
   }
-  if (std::memcmp(magic, fmt::kMagic, sizeof(fmt::kMagic)) != 0) {
-    *error = "snapshot: bad magic (not a TICL snapshot)";
-    return false;
+  if (core_index_payload != nullptr && parsed.core_index != nullptr) {
+    core_index_payload->assign(parsed.core_index,
+                               parsed.core_index + parsed.core_index_size);
   }
-  if (!ReadChecked(f, &checksum, &version, sizeof(version), "version",
-                   error)) {
-    return false;
-  }
-  if (version == 1) return LoadV1Body(f, checksum, out, error);
-  if (version == 2) return LoadV2Body(f, out, core_index_payload, error);
-  *error = "snapshot: unsupported format version " + std::to_string(version) +
-           " (newest supported " + std::to_string(kSnapshotFormatVersion) +
-           ")";
-  return false;
+  *out = std::move(loaded);
+  return true;
 }
 
 bool SaveDeltaSnapshot(const std::string& path, const GraphDelta& delta,
@@ -692,23 +515,8 @@ bool LoadDeltaSnapshot(const std::string& path, GraphDelta* delta,
     *error = "snapshot: " + std::move(msg);
     return false;
   };
-  std::FILE* raw = std::fopen(path.c_str(), "rb");
-  if (raw == nullptr) {
-    *error = "snapshot: cannot open " + path;
-    return false;
-  }
-  FileGuard file(raw, "");
-  std::FILE* f = file.get();
-  if (std::fseek(f, 0, SEEK_END) != 0) return fail("seek failed");
-  const long file_size = std::ftell(f);
-  if (file_size < 0 || std::fseek(f, 0, SEEK_SET) != 0) {
-    return fail("seek failed");
-  }
-  std::vector<unsigned char> buffer(static_cast<std::size_t>(file_size));
-  if (!ReadChecked(f, nullptr, buffer.data(), buffer.size(), "file", error)) {
-    return false;
-  }
-
+  std::vector<unsigned char> buffer;
+  if (!ReadWholeFile(path, &buffer, error)) return false;
   std::vector<fmt::SectionRef> sections;
   if (!fmt::ParseV2Table(buffer.data(), buffer.size(), &sections, error)) {
     return false;

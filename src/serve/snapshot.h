@@ -9,7 +9,7 @@
 // copy-load is a few bulk reads and a checksum pass — and an mmap load
 // (serve/mapped_snapshot.h) is O(1) copies: the arrays are used in place.
 //
-// -- Format v2 (current writer) --------------------------------------------
+// -- Format v2 (the only format) --------------------------------------------
 //
 // Little-endian, fixed-width, TLV section table:
 //
@@ -34,7 +34,8 @@
 //   2 offsets     (n + 1) x uint64                          required
 //   3 adjacency   adjacency_len x uint32                    required
 //   4 weights     n x double                                optional
-//   5 core_index  CoreIndex serialization (core_index.h)    optional
+//   5 core_index  32-byte header + n x uint32 core numbers  optional
+//                 (CoreIndex::AppendSerialized, core_index.h)
 //   6 delta_meta  parent fingerprint + edit counts          delta files
 //   7 delta_edges edge insert/delete pairs                  delta files
 //   8 delta_weights vertex reweights                        delta files
@@ -48,29 +49,19 @@
 // is trusted to the producer) and weight values. Every failure is reported
 // through *error with a specific message; a snapshot never half-loads.
 //
-// -- Format v1 (legacy, read-only) -----------------------------------------
-//
-//   offset  size  field
-//   0       8     magic "TICLSNAP"
-//   8       4     format version (uint32, 1)
-//   12      4     flags (uint32; bit 0 = weights present)
-//   16      8     vertex count n (uint64)
-//   24      8     adjacency length 2m (uint64)
-//   32      ...   offsets   ((n + 1) x uint64)
-//   ...     ...   adjacency (2m x uint32)
-//   ...     ...   weights   (n x double, only when bit 0 of flags is set)
-//   end-8   8     FNV-1a 64 checksum of every preceding byte
-//
-// v1 files keep loading forever (LoadSnapshot); they cannot carry a
-// CoreIndex and — because the weights section is only 8-aligned when m is
-// even — are not eligible for mmap. SaveSnapshotOptions::version = 1
-// keeps a writer around for compatibility tests and benchmarks.
+// Loaders refuse any other version word with "unsupported format version"
+// (the v1 layout of earlier releases included; re-save such files with a
+// release that still reads them). A core_index section that fails its own
+// validation (a stale fingerprint, or the per-level layout of earlier
+// releases) is not fatal: MappedSnapshot reports no index, and
+// QueryEngine::OpenSnapshot rebuilds it from the graph in either load
+// mode.
 //
 // -- Mmap quickstart -------------------------------------------------------
 //
-//   ticl_query --generate standin:dblp --save-snapshot dblp.snap \
-//       --snapshot-index                    # v2 + embedded CoreIndex
-//   ticl_served --snapshot dblp.snap --mmap  # start-up with zero copies
+//   ticl_query --generate standin:dblp --save-snapshot dblp.snap
+//       --snapshot-index                     (embeds the CoreIndex)
+//   ticl_served --snapshot dblp.snap --mmap  (start-up with zero copies)
 //
 // or in code: MappedSnapshot::Open(path, &error) hands out a span-backed
 // Graph (and CoreIndex) reading straight from the mapping.
@@ -89,17 +80,11 @@ namespace ticl {
 
 class CoreIndex;  // serve/core_index.h
 
-/// Current writer version. Loaders accept this and every earlier version.
-inline constexpr std::uint32_t kSnapshotFormatVersion = 2;
-
 struct SaveSnapshotOptions {
   /// Optional CoreIndex to embed so loaders skip the decomposition too.
   /// Must have been built for the graph being saved (fingerprint is
-  /// checked). Requires version 2.
+  /// checked).
   const CoreIndex* core_index = nullptr;
-  /// Format version to write: 2 (default) or 1 (legacy, for compatibility
-  /// tooling; cannot embed a core index and cannot be mmap-loaded).
-  std::uint32_t version = kSnapshotFormatVersion;
 };
 
 /// Writes `g` (topology + weights when assigned) to `path`, atomically:
@@ -111,7 +96,7 @@ bool SaveSnapshot(const std::string& path, const Graph& g,
 bool SaveSnapshot(const std::string& path, const Graph& g,
                   const SaveSnapshotOptions& options, std::string* error);
 
-/// Reads a snapshot (v1 or v2) back into an owning Graph. On success *out
+/// Reads a snapshot back into an owning Graph. On success *out
 /// holds the graph (weights restored when the snapshot has them). A
 /// persisted core-index section is skipped here — use
 /// LoadSnapshotWithIndex, MappedSnapshot or QueryEngine::OpenSnapshot to
@@ -120,7 +105,7 @@ bool SaveSnapshot(const std::string& path, const Graph& g,
 bool LoadSnapshot(const std::string& path, Graph* out, std::string* error);
 
 /// As LoadSnapshot, and additionally hands back the raw core_index
-/// section payload (cleared when the snapshot has none / is v1) so the
+/// section payload (cleared when the snapshot has none) so the
 /// caller can CoreIndex::Deserialize it against the loaded graph without
 /// re-reading the file. The payload buffer satisfies the 8-byte alignment
 /// Deserialize requires.

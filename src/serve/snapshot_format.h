@@ -17,8 +17,6 @@
 namespace ticl::snapshot_internal {
 
 inline constexpr char kMagic[8] = {'T', 'I', 'C', 'L', 'S', 'N', 'A', 'P'};
-/// v1 flags word (v2 expresses optionality via section presence instead).
-inline constexpr std::uint32_t kFlagHasWeights = 1u << 0;
 inline constexpr std::size_t kV2HeaderBytes = 16;
 inline constexpr std::size_t kSectionEntryBytes = 24;
 inline constexpr std::size_t kSectionAlignment = 8;
@@ -37,7 +35,7 @@ enum SectionType : std::uint32_t {
   kSectionOffsets = 2,    // (n + 1) x uint64
   kSectionAdjacency = 3,  // adjacency_len x uint32
   kSectionWeights = 4,    // n x double (optional)
-  kSectionCoreIndex = 5,  // CoreIndex serialization (optional)
+  kSectionCoreIndex = 5,  // 32-byte header + n x uint32 (optional)
   // Delta snapshots (serve/snapshot.h SaveDeltaSnapshot):
   kSectionDeltaMeta = 6,     // {parent fingerprint (3 x uint64),
                              //  uint64 insert_count, uint64 delete_count,

@@ -1,5 +1,10 @@
 #include "serve/core_index.h"
 
+#include <cstring>
+#include <memory>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "algo/core_decomposition.h"
@@ -33,10 +38,8 @@ TEST(CoreIndexTest, MatchesFromScratchPrimitives) {
     EXPECT_EQ(index.degeneracy(), CoreDecomposition(g).degeneracy);
     // One past the degeneracy exercises the empty-core path.
     for (VertexId k = 1; k <= index.degeneracy() + 1; ++k) {
-      EXPECT_EQ(ToVector(index.CoreMembers(k)), MaximalKCore(g, k))
-          << "k=" << k;
+      EXPECT_EQ(index.CoreMembers(k), MaximalKCore(g, k)) << "k=" << k;
       EXPECT_EQ(index.CoreComponents(k), KCoreComponents(g, k)) << "k=" << k;
-      EXPECT_EQ(index.CoreSize(k), MaximalKCore(g, k).size());
     }
   }
 }
@@ -47,7 +50,7 @@ TEST(CoreIndexTest, CoreNumbersMatchDecomposition) {
   const CoreDecompositionResult decomp = CoreDecomposition(g);
   EXPECT_EQ(ToVector(index.core_numbers()), decomp.core);
   EXPECT_EQ(index.degeneracy(), 3u);  // the K4
-  EXPECT_EQ(ToVector(index.CoreMembers(3)), testing::Members({6, 7, 8, 9}));
+  EXPECT_EQ(index.CoreMembers(3), testing::Members({6, 7, 8, 9}));
   EXPECT_TRUE(index.CoreMembers(4).empty());
   EXPECT_TRUE(index.CoreComponents(4).empty());
 }
@@ -111,13 +114,52 @@ TEST(CoreIndexTest, SerializationRoundTripCopyAndView) {
     EXPECT_EQ(ToVector(restored->core_numbers()),
               ToVector(index.core_numbers()));
     for (VertexId k = 1; k <= index.degeneracy() + 1; ++k) {
-      EXPECT_EQ(ToVector(restored->CoreMembers(k)),
-                ToVector(index.CoreMembers(k)))
-          << "k=" << k;
+      EXPECT_EQ(restored->CoreMembers(k), index.CoreMembers(k)) << "k=" << k;
       EXPECT_EQ(restored->CoreComponents(k), index.CoreComponents(k))
           << "k=" << k;
     }
   }
+}
+
+/// A serialized index over TwoTrianglesAndK4 (32-byte header, then one
+/// uint32 core number per vertex), copied into a uint64_t-backed buffer so
+/// tests can shift it off the 8-byte boundary.
+struct Payload {
+  std::vector<std::uint64_t> storage;
+  std::size_t size = 0;
+
+  explicit Payload(const CoreIndex& index) {
+    std::vector<unsigned char> bytes;
+    index.AppendSerialized(&bytes);
+    size = bytes.size();
+    storage.assign(size / 8 + 2, 0);
+    std::memcpy(storage.data(), bytes.data(), size);
+  }
+  unsigned char* data() {
+    return reinterpret_cast<unsigned char*>(storage.data());
+  }
+  void PutU32(std::size_t offset, std::uint32_t value) {
+    std::memcpy(data() + offset, &value, sizeof(value));
+  }
+  std::unique_ptr<CoreIndex> Load(const Graph& g, std::string* error) {
+    return CoreIndex::Deserialize(g, data(), size, /*copy_data=*/true, error);
+  }
+};
+
+void ExpectRejected(const Graph& g, Payload payload, const char* needle) {
+  std::string error;
+  EXPECT_EQ(payload.Load(g, &error), nullptr) << needle;
+  EXPECT_NE(error.find(needle), std::string::npos) << error;
+}
+
+TEST(CoreIndexTest, SerializedPayloadIsHeaderPlusCoreNumbers) {
+  const Graph g = TwoTrianglesAndK4();
+  const CoreIndex index(g);
+  EXPECT_EQ(index.SerializedSize(), 32 + 4 * g.num_vertices());
+  Payload payload(index);
+  ASSERT_EQ(payload.size, index.SerializedSize());
+  std::string error;
+  EXPECT_NE(payload.Load(g, &error), nullptr) << error;
 }
 
 TEST(CoreIndexTest, DeserializeRejectsForeignGraph) {
@@ -134,25 +176,43 @@ TEST(CoreIndexTest, DeserializeRejectsForeignGraph) {
   EXPECT_NE(error.find("fingerprint"), std::string::npos) << error;
 }
 
-TEST(CoreIndexTest, DeserializeRejectsTruncatedOrCorruptPayload) {
+TEST(CoreIndexTest, DeserializeRejectsWrongSize) {
   const Graph g = TwoTrianglesAndK4();
   const CoreIndex index(g);
-  std::vector<unsigned char> bytes;
-  index.AppendSerialized(&bytes);
+  Payload short_by_one(index);
+  short_by_one.size -= 4;
+  ExpectRejected(g, short_by_one, "32 + 4n");
+  Payload long_by_one(index);
+  long_by_one.size += 4;
+  ExpectRejected(g, long_by_one, "32 + 4n");
+  Payload header_only(index);
+  header_only.size = 16;
+  ExpectRejected(g, header_only, "too small");
+}
 
+TEST(CoreIndexTest, DeserializeRejectsCoreNumberAboveDegeneracy) {
+  const Graph g = TwoTrianglesAndK4();
+  Payload payload{CoreIndex(g)};
+  payload.PutU32(32 + 4 * 0, 4);  // degeneracy is 3
+  ExpectRejected(g, payload, "exceeds degeneracy");
+}
+
+TEST(CoreIndexTest, DeserializeRejectsDegeneracyAboveMaxCore) {
+  const Graph g = TwoTrianglesAndK4();
+  Payload payload{CoreIndex(g)};
+  payload.PutU32(24, 4);  // every core number is <= 3
+  ExpectRejected(g, payload, "largest core number");
+}
+
+TEST(CoreIndexTest, DeserializeRejectsMisalignedPayload) {
+  const Graph g = TwoTrianglesAndK4();
+  Payload payload{CoreIndex(g)};
+  std::memmove(payload.data() + 4, payload.data(), payload.size);
   std::string error;
-  EXPECT_EQ(CoreIndex::Deserialize(g, bytes.data(), bytes.size() - 4,
-                                   /*copy_data=*/true, &error),
+  EXPECT_EQ(CoreIndex::Deserialize(g, payload.data() + 4, payload.size,
+                                   /*copy_data=*/false, &error),
             nullptr);
-  EXPECT_NE(error.find("core index"), std::string::npos) << error;
-
-  // Corrupt the first member id (level 1 starts right after the core
-  // numbers): members must stay strictly ascending / in range.
-  std::vector<unsigned char> corrupt = bytes;
-  corrupt[corrupt.size() - 1] ^= 0xff;
-  EXPECT_EQ(CoreIndex::Deserialize(g, corrupt.data(), corrupt.size(),
-                                   /*copy_data=*/true, &error),
-            nullptr);
+  EXPECT_NE(error.find("aligned"), std::string::npos) << error;
 }
 
 void ExpectIdenticalResults(const SearchResult& a, const SearchResult& b,

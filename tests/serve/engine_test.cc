@@ -555,8 +555,8 @@ TEST(QueryEngineDeltaTest, ApplyDeltaMatchesFreshEngineBitForBit) {
   EXPECT_EQ(ToVector(engine.core_index().core_numbers()),
             ToVector(fresh.core_index().core_numbers()));
   for (VertexId k = 1; k <= fresh.core_index().degeneracy(); ++k) {
-    EXPECT_EQ(ToVector(engine.core_index().CoreMembers(k)),
-              ToVector(fresh.core_index().CoreMembers(k)))
+    EXPECT_EQ(engine.core_index().CoreMembers(k),
+              fresh.core_index().CoreMembers(k))
         << "level " << k;
   }
 

@@ -7,9 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include "algo/core_decomposition.h"
 #include "algo/weights.h"
+#include "core/search.h"
 #include "gen/chung_lu.h"
 #include "serve/core_index.h"
+#include "serve/engine.h"
 #include "testing/builders.h"
 
 namespace ticl {
@@ -205,70 +208,6 @@ struct RawWriter {
   }
 };
 
-TEST(SnapshotTest, RejectsNonMonotoneOffsetsWithoutOverread) {
-  // offsets [0, 10, 2] with a 2-entry adjacency: front/back pass, but the
-  // middle entry points past the array. Must be rejected as invalid, not
-  // read out of bounds.
-  RawWriter w;
-  w.Append("TICLSNAP", 8);
-  w.AppendValue<std::uint32_t>(1);  // v1 layout
-  w.AppendValue<std::uint32_t>(0);                   // flags: no weights
-  w.AppendValue<std::uint64_t>(2);                   // n
-  w.AppendValue<std::uint64_t>(2);                   // adjacency length
-  for (const std::uint64_t offset : {0ull, 10ull, 2ull}) {
-    w.AppendValue<std::uint64_t>(offset);
-  }
-  w.AppendValue<std::uint32_t>(1);                   // adjacency
-  w.AppendValue<std::uint32_t>(0);
-  w.AppendValue<std::uint64_t>(w.Checksum());
-  const std::string path = TempPath("nonmonotone.snap");
-  w.WriteTo(path);
-
-  Graph loaded;
-  std::string error;
-  EXPECT_FALSE(LoadSnapshot(path, &loaded, &error));
-  EXPECT_NE(error.find("monotone"), std::string::npos) << error;
-  std::remove(path.c_str());
-}
-
-TEST(SnapshotTest, RejectsHugeAdjacencyLengthWithoutAllocating) {
-  // adj_len = 2^62 makes `adj_len * sizeof(VertexId)` wrap to 0 in the
-  // expected-size arithmetic; the loader must reject the header instead
-  // of attempting a 2^62-element allocation.
-  RawWriter w;
-  w.Append("TICLSNAP", 8);
-  w.AppendValue<std::uint32_t>(1);  // v1 layout
-  w.AppendValue<std::uint32_t>(0);                   // flags
-  w.AppendValue<std::uint64_t>(0);                   // n
-  w.AppendValue<std::uint64_t>(1ull << 62);          // adjacency length
-  w.AppendValue<std::uint64_t>(0);                   // offsets[0]
-  w.AppendValue<std::uint64_t>(w.Checksum());
-  const std::string path = TempPath("huge_adj.snap");
-  w.WriteTo(path);
-
-  Graph loaded;
-  std::string error;
-  EXPECT_FALSE(LoadSnapshot(path, &loaded, &error));
-  EXPECT_NE(error.find("exceeds file size"), std::string::npos) << error;
-  std::remove(path.c_str());
-}
-
-TEST(SnapshotTest, FailedLoadLeavesOutputUntouched) {
-  Graph out = TwoTrianglesAndK4();
-  std::string error;
-  ASSERT_FALSE(LoadSnapshot(TempPath("nope.snap"), &out, &error));
-  EXPECT_EQ(out.num_vertices(), 10u);  // untouched
-}
-
-TEST(SnapshotTest, SaveToUnwritablePathFails) {
-  std::string error;
-  EXPECT_FALSE(SaveSnapshot("/nonexistent_dir_xyz/g.snap",
-                            TwoTrianglesAndK4(), &error));
-  EXPECT_FALSE(error.empty());
-}
-
-// -- Format compatibility ---------------------------------------------------
-
 /// Builds syntactically valid v2 files section by section (the hostile /
 /// forward-compatibility counterpart of the library writer).
 struct V2Builder {
@@ -283,7 +222,9 @@ struct V2Builder {
     Section s;
     s.type = type;
     s.payload.resize(values.size() * sizeof(T));
-    std::memcpy(s.payload.data(), values.data(), s.payload.size());
+    if (!values.empty()) {
+      std::memcpy(s.payload.data(), values.data(), s.payload.size());
+    }
     sections.push_back(std::move(s));
   }
 
@@ -322,49 +263,57 @@ V2Builder TriangleV2() {
   return b;
 }
 
-TEST(SnapshotCompatTest, CommittedV1GoldenFileStillLoads) {
-  // tests/serve/testdata/tiny_v1.snap: weighted triangle written by the
-  // PR-1 era v1 writer and committed verbatim. Old deployments' snapshot
-  // stores must keep loading.
-  Graph loaded;
-  std::string error;
-  ASSERT_TRUE(LoadSnapshot(std::string(TICL_TEST_DATA_DIR) + "/tiny_v1.snap",
-                           &loaded, &error))
-      << error;
-  EXPECT_EQ(loaded.num_vertices(), 3u);
-  EXPECT_EQ(loaded.num_edges(), 3u);
-  EXPECT_TRUE(loaded.HasEdge(0, 1));
-  EXPECT_TRUE(loaded.HasEdge(1, 2));
-  EXPECT_TRUE(loaded.HasEdge(0, 2));
-  ASSERT_TRUE(loaded.has_weights());
-  EXPECT_EQ(loaded.weight(0), 1.0);
-  EXPECT_EQ(loaded.weight(1), 2.0);
-  EXPECT_EQ(loaded.weight(2), 3.0);
-}
+TEST(SnapshotTest, RejectsNonMonotoneOffsetsWithoutOverread) {
+  // offsets [0, 10, 2] with a 2-entry adjacency: front/back pass, but the
+  // middle entry points past the array. Must be rejected as invalid, not
+  // read out of bounds.
+  V2Builder b;
+  b.AddArraySection<std::uint64_t>(1, {2, 2});       // graph_meta
+  b.AddArraySection<std::uint64_t>(2, {0, 10, 2});   // offsets
+  b.AddArraySection<std::uint32_t>(3, {1, 0});       // adjacency
+  const std::string path = TempPath("nonmonotone.snap");
+  b.Build().WriteTo(path);
 
-TEST(SnapshotCompatTest, V1WriterRoundTrips) {
-  const Graph original = TwoTrianglesAndK4();
-  const std::string path = TempPath("v1_writer.snap");
-  SaveSnapshotOptions options;
-  options.version = 1;
-  std::string error;
-  ASSERT_TRUE(SaveSnapshot(path, original, options, &error)) << error;
   Graph loaded;
-  ASSERT_TRUE(LoadSnapshot(path, &loaded, &error)) << error;
-  ExpectBitIdentical(original, loaded);
+  std::string error;
+  EXPECT_FALSE(LoadSnapshot(path, &loaded, &error));
+  EXPECT_NE(error.find("monotone"), std::string::npos) << error;
   std::remove(path.c_str());
 }
 
-TEST(SnapshotCompatTest, V1CannotEmbedCoreIndex) {
-  const Graph g = TwoTrianglesAndK4();
-  const CoreIndex index(g);
-  SaveSnapshotOptions options;
-  options.version = 1;
-  options.core_index = &index;
+TEST(SnapshotTest, RejectsHugeAdjacencyLengthWithoutAllocating) {
+  // adj_len = 2^62 makes `adj_len * sizeof(VertexId)` wrap to 0 in the
+  // expected-size arithmetic; the loader must reject the header instead
+  // of trusting the wrapped size.
+  V2Builder b;
+  b.AddArraySection<std::uint64_t>(1, {0, 1ull << 62});  // graph_meta
+  b.AddArraySection<std::uint64_t>(2, {0});               // offsets
+  b.AddArraySection<std::uint32_t>(3, {});                // adjacency
+  const std::string path = TempPath("huge_adj.snap");
+  b.Build().WriteTo(path);
+
+  Graph loaded;
   std::string error;
-  EXPECT_FALSE(SaveSnapshot(TempPath("v1_index.snap"), g, options, &error));
-  EXPECT_NE(error.find("cannot embed"), std::string::npos) << error;
+  EXPECT_FALSE(LoadSnapshot(path, &loaded, &error));
+  EXPECT_NE(error.find("exceeds file size"), std::string::npos) << error;
+  std::remove(path.c_str());
 }
+
+TEST(SnapshotTest, FailedLoadLeavesOutputUntouched) {
+  Graph out = TwoTrianglesAndK4();
+  std::string error;
+  ASSERT_FALSE(LoadSnapshot(TempPath("nope.snap"), &out, &error));
+  EXPECT_EQ(out.num_vertices(), 10u);  // untouched
+}
+
+TEST(SnapshotTest, SaveToUnwritablePathFails) {
+  std::string error;
+  EXPECT_FALSE(SaveSnapshot("/nonexistent_dir_xyz/g.snap",
+                            TwoTrianglesAndK4(), &error));
+  EXPECT_FALSE(error.empty());
+}
+
+// -- Format compatibility ---------------------------------------------------
 
 TEST(SnapshotCompatTest, CoreIndexSectionRoundTripsThroughLoadSnapshot) {
   const Graph original = TwoTrianglesAndK4();
@@ -378,6 +327,78 @@ TEST(SnapshotCompatTest, CoreIndexSectionRoundTripsThroughLoadSnapshot) {
   Graph loaded;
   ASSERT_TRUE(LoadSnapshot(path, &loaded, &error)) << error;
   ExpectBitIdentical(original, loaded);
+  std::remove(path.c_str());
+}
+
+/// A core_index section in the per-level layout earlier releases wrote:
+/// the 32-byte header, then (d + 2) uint64 level offsets, the n core
+/// numbers, and every level's sorted members concatenated.
+std::vector<unsigned char> PerLevelCoreIndexSection(const Graph& g) {
+  const CoreDecompositionResult decomp = CoreDecomposition(g);
+  std::vector<std::uint64_t> level_offsets(decomp.degeneracy + 2, 0);
+  std::vector<VertexId> members;
+  for (VertexId k = 1; k <= decomp.degeneracy; ++k) {
+    const VertexList level = MaximalKCore(g, k);
+    members.insert(members.end(), level.begin(), level.end());
+    level_offsets[k + 1] = members.size();
+  }
+  RawWriter w;
+  w.AppendValue<std::uint64_t>(g.fingerprint().num_vertices);
+  w.AppendValue<std::uint64_t>(g.fingerprint().adjacency_len);
+  w.AppendValue<std::uint64_t>(g.fingerprint().csr_hash);
+  w.AppendValue<std::uint32_t>(decomp.degeneracy);
+  w.AppendValue<std::uint32_t>(0);
+  w.Append(level_offsets.data(), level_offsets.size() * 8);
+  w.Append(decomp.core.data(), decomp.core.size() * 4);
+  w.Append(members.data(), members.size() * 4);
+  return w.bytes;
+}
+
+TEST(SnapshotCompatTest, PerLevelCoreIndexSectionIsRebuiltNotTrusted) {
+  ChungLuOptions cl;
+  cl.num_vertices = 500;
+  cl.target_average_degree = 8.0;
+  cl.gamma = 2.5;
+  cl.seed = 23;
+  Graph g = GenerateChungLu(cl);
+  AssignWeights(&g, WeightScheme::kPageRank, 23);
+
+  V2Builder b;
+  b.AddArraySection<std::uint64_t>(
+      1, {g.num_vertices(), g.adjacency().size()});
+  b.AddArraySection(2, testing::ToVector(g.offsets()));
+  b.AddArraySection(3, testing::ToVector(g.adjacency()));
+  b.AddArraySection(4, testing::ToVector(g.weights()));
+  b.sections.push_back({5, PerLevelCoreIndexSection(g)});
+  const std::string path = TempPath("per_level_index.snap");
+  b.Build().WriteTo(path);
+
+  for (const SnapshotLoadMode mode :
+       {SnapshotLoadMode::kCopy, SnapshotLoadMode::kMmap}) {
+    std::string error;
+    const auto engine = QueryEngine::OpenSnapshot(path, mode, {}, &error);
+    ASSERT_NE(engine, nullptr) << error;
+    EXPECT_FALSE(engine->index_from_snapshot());
+    for (const auto spec : {AggregationSpec::Sum(), AggregationSpec::Min(),
+                            AggregationSpec::Max(), AggregationSpec::Avg()}) {
+      for (const VertexId k : {2u, 3u, 4u}) {
+        Query q;
+        q.k = k;
+        q.r = 3;
+        q.aggregation = spec;
+        const SearchResult fresh = Solve(g, q);
+        const SearchResult served = *engine->Run(q).result;
+        ASSERT_EQ(served.communities.size(), fresh.communities.size());
+        for (std::size_t i = 0; i < fresh.communities.size(); ++i) {
+          EXPECT_EQ(served.communities[i].members,
+                    fresh.communities[i].members);
+          // Bit-level: identical arithmetic on identical bytes.
+          EXPECT_EQ(served.communities[i].influence,
+                    fresh.communities[i].influence);
+        }
+      }
+    }
+  }
   std::remove(path.c_str());
 }
 

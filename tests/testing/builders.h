@@ -16,7 +16,7 @@
 
 namespace ticl::testing {
 
-/// Materializes a span accessor (Graph::offsets(), CoreIndex::CoreMembers
+/// Materializes a span accessor (Graph::offsets(), CoreIndex::core_numbers()
 /// and friends return views since the zero-copy refactor) so it can be
 /// EXPECT_EQ'd against vectors.
 template <typename T>

@@ -16,8 +16,8 @@
 //
 // Dynamic-graph workflow (delta snapshots; the graph evolves without full
 // rewrites):
-//   ticl_query --snapshot dblp.snap --apply-delta edits.txt \
-//       --save-snapshot dblp.d1.snap      # child records (parent fp, delta)
+//   ticl_query --snapshot dblp.snap --apply-delta edits.txt
+//       --save-snapshot dblp.d1.snap      (child records parent fp + delta)
 //   ticl_query --snapshot dblp.snap --delta dblp.d1.snap --k 4 --r 5 --f sum
 //
 // Exit status: 0 on success, 1 on usage errors, 2 on IO errors,
@@ -56,7 +56,6 @@ struct CliOptions {
   bool mmap = false;               // zero-copy view instead of a copy-load
   std::string save_snapshot_path;  // write the prepared graph and exit*
   bool snapshot_index = false;     // embed the CoreIndex when saving
-  std::uint32_t snapshot_format = ticl::kSnapshotFormatVersion;
   std::uint64_t seed = 0;
   ticl::Query query;
   std::string solver = "auto";
@@ -95,15 +94,13 @@ void PrintUsage() {
       "                        --save-snapshot the child is written as a\n"
       "                        delta snapshot recording (parent fingerprint,\n"
       "                        delta) instead of a full rewrite\n"
-      "  --mmap                with --snapshot: zero-copy mmap view (needs a\n"
-      "                        v2 file; uses its core index when embedded)\n"
+      "  --mmap                with --snapshot: zero-copy mmap view (uses its\n"
+      "                        core index when embedded)\n"
       "  --save-snapshot PATH  write the prepared graph (weights included)\n"
       "                        as a snapshot; exits after saving unless a\n"
       "                        query flag is also given\n"
       "  --snapshot-index      embed the precomputed CoreIndex in the saved\n"
-      "                        snapshot (v2 only) so serving skips the\n"
-      "                        decomposition\n"
-      "  --snapshot-format N   snapshot version to write: 2 (default) or 1\n"
+      "                        snapshot so serving skips the decomposition\n"
       "  --seed N              seed for random weight schemes/generators\n"
       "\n"
       "query:\n"
@@ -174,8 +171,6 @@ bool ParseArgs(int argc, char** argv, CliOptions* options,
       if (!take(&options->save_snapshot_path)) return false;
     } else if (arg == "--snapshot-index") {
       options->snapshot_index = true;
-    } else if (arg == "--snapshot-format") {
-      if (!take_number(&options->snapshot_format)) return false;
     } else if (arg == "--seed") {
       if (!take_number(&options->seed)) return false;
     } else if (arg == "--k") {
@@ -475,10 +470,10 @@ int main(int argc, char** argv) {
     if (have_text_delta) {
       // Child release: record (parent fingerprint, delta), kilobytes
       // instead of a full CSR rewrite.
-      if (options.snapshot_index || options.snapshot_format != 2) {
+      if (options.snapshot_index) {
         std::fprintf(stderr,
                      "error: a delta snapshot carries only edits; "
-                     "--snapshot-index / --snapshot-format do not apply\n");
+                     "--snapshot-index does not apply\n");
         return 1;
       }
       if (!ticl::SaveDeltaSnapshot(options.save_snapshot_path, text_delta,
@@ -498,7 +493,6 @@ int main(int argc, char** argv) {
       if (!options.query_requested) return 0;
     } else {
       ticl::SaveSnapshotOptions save_options;
-      save_options.version = options.snapshot_format;
       std::unique_ptr<ticl::CoreIndex> built_index;
       if (options.snapshot_index) {
         if (mapped != nullptr && mapped->has_core_index()) {
@@ -513,9 +507,9 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "error: %s\n", error.c_str());
         return 2;
       }
-      std::fprintf(stderr, "saved snapshot %s (v%u, n=%u m=%llu%s%s)\n",
+      std::fprintf(stderr, "saved snapshot %s (n=%u m=%llu%s%s)\n",
                    options.save_snapshot_path.c_str(),
-                   options.snapshot_format, query_graph->num_vertices(),
+                   query_graph->num_vertices(),
                    static_cast<unsigned long long>(query_graph->num_edges()),
                    query_graph->has_weights() ? ", weighted" : "",
                    options.snapshot_index ? ", core index embedded" : "");

@@ -8,12 +8,12 @@
 // drift. See src/serve/server.h for the event-loop, backpressure and
 // admission control mechanics.
 //
-//   ticl_query --generate standin:dblp --save-snapshot dblp.snap \
+//   ticl_query --generate standin:dblp --save-snapshot dblp.snap
 //       --snapshot-index
 //   cat batch.jsonl | ticl_served --snapshot dblp.snap --mmap --batch -
 //   ticl_served --snapshot dblp.snap --mmap --port 7421 --threads 8
-//   printf '%s\n' '{"id": 1, "k": 4, "r": 5, "f": "sum"}' \
-//     | nc -N 127.0.0.1 7421    # any newline-JSON client works
+//   printf '%s\n' '{"id": 1, "k": 4, "r": 5, "f": "sum"}'
+//     | nc -N 127.0.0.1 7421    (any newline-JSON client works)
 //
 // Admin commands over the same connection (disable with --no-admin; batch
 // mode rejects them):
