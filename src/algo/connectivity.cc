@@ -1,72 +1,11 @@
 #include "algo/connectivity.h"
 
-#include <algorithm>
-#include <deque>
 #include <unordered_set>
+#include <vector>
 
 #include "util/check.h"
 
 namespace ticl {
-
-ComponentLabels ConnectedComponents(const Graph& g) {
-  const VertexId n = g.num_vertices();
-  ComponentLabels out;
-  out.label.assign(n, kInvalidVertex);
-  std::vector<VertexId> queue;
-  for (VertexId start = 0; start < n; ++start) {
-    if (out.label[start] != kInvalidVertex) continue;
-    const VertexId id = out.num_components++;
-    out.label[start] = id;
-    queue.clear();
-    queue.push_back(start);
-    while (!queue.empty()) {
-      const VertexId v = queue.back();
-      queue.pop_back();
-      for (const VertexId nbr : g.neighbors(v)) {
-        if (out.label[nbr] == kInvalidVertex) {
-          out.label[nbr] = id;
-          queue.push_back(nbr);
-        }
-      }
-    }
-  }
-  return out;
-}
-
-std::vector<VertexList> ComponentsOfSubset(const Graph& g,
-                                           std::span<const VertexId> members) {
-  // Hash-set membership keeps this O(sum of degrees) without O(n) scratch,
-  // so it stays cheap when called with many small subsets.
-  std::unordered_set<VertexId> in_set(members.begin(), members.end());
-  TICL_CHECK_MSG(in_set.size() == members.size(),
-                 "duplicate vertex in subset");
-  std::unordered_set<VertexId> visited;
-  visited.reserve(members.size());
-
-  std::vector<VertexList> components;
-  std::vector<VertexId> queue;
-  for (const VertexId start : members) {
-    if (visited.contains(start)) continue;
-    VertexList component;
-    queue.clear();
-    queue.push_back(start);
-    visited.insert(start);
-    while (!queue.empty()) {
-      const VertexId v = queue.back();
-      queue.pop_back();
-      component.push_back(v);
-      for (const VertexId nbr : g.neighbors(v)) {
-        if (in_set.contains(nbr) && !visited.contains(nbr)) {
-          visited.insert(nbr);
-          queue.push_back(nbr);
-        }
-      }
-    }
-    std::sort(component.begin(), component.end());
-    components.push_back(std::move(component));
-  }
-  return components;
-}
 
 bool IsSubsetConnected(const Graph& g, const VertexList& members) {
   if (members.size() <= 1) return true;
@@ -88,33 +27,6 @@ bool IsSubsetConnected(const Graph& g, const VertexList& members) {
     }
   }
   return visited.size() == members.size();
-}
-
-VertexList CollectNearestNeighbors(
-    const Graph& g, VertexId seed, std::size_t limit,
-    const std::function<bool(VertexId)>& allowed) {
-  VertexList collected;
-  if (limit == 0) return collected;
-  TICL_CHECK(seed < g.num_vertices());
-  TICL_CHECK_MSG(allowed(seed), "seed filtered out by `allowed`");
-
-  std::unordered_set<VertexId> visited;
-  std::deque<VertexId> frontier;
-  visited.insert(seed);
-  frontier.push_back(seed);
-  collected.push_back(seed);
-  while (!frontier.empty() && collected.size() < limit) {
-    const VertexId v = frontier.front();
-    frontier.pop_front();
-    for (const VertexId nbr : g.neighbors(v)) {
-      if (visited.contains(nbr) || !allowed(nbr)) continue;
-      visited.insert(nbr);
-      frontier.push_back(nbr);
-      collected.push_back(nbr);
-      if (collected.size() == limit) break;
-    }
-  }
-  return collected;
 }
 
 }  // namespace ticl

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 
-#include "algo/connectivity.h"
 #include "util/check.h"
 
 namespace ticl {
@@ -106,10 +105,6 @@ VertexList VerticesWithCoreAtLeast(std::span<const VertexId> core,
 
 VertexList MaximalKCore(const Graph& g, VertexId k) {
   return VerticesWithCoreAtLeast(CoreDecomposition(g).core, k);
-}
-
-std::vector<VertexList> KCoreComponents(const Graph& g, VertexId k) {
-  return ComponentsOfSubset(g, MaximalKCore(g, k));
 }
 
 }  // namespace ticl

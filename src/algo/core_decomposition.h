@@ -1,6 +1,6 @@
 // k-core machinery: full core decomposition (Batagelj–Zaveršnik bucket
-// peel), maximal k-core extraction, and the k-core connected components that
-// seed every top-r solver.
+// peel) and maximal k-core extraction. Splitting a k-core into its
+// connected components is SubsetPeeler::Split (algo/kcore_peeler.h).
 
 #ifndef TICL_ALGO_CORE_DECOMPOSITION_H_
 #define TICL_ALGO_CORE_DECOMPOSITION_H_
@@ -36,10 +36,6 @@ VertexList VerticesWithCoreAtLeast(std::span<const VertexId> core,
 
 /// Vertices of the maximal k-core (sorted ascending; empty if none).
 VertexList MaximalKCore(const Graph& g, VertexId k);
-
-/// Connected components of the maximal k-core, each sorted ascending.
-/// These are the disjoint communities L_0 of Algorithms 1, 2 and 4.
-std::vector<VertexList> KCoreComponents(const Graph& g, VertexId k);
 
 }  // namespace ticl
 

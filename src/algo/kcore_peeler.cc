@@ -8,123 +8,145 @@ namespace ticl {
 
 SubsetPeeler::SubsetPeeler(const Graph& g)
     : g_(&g),
-      epoch_of_(g.num_vertices(), 0),
-      alive_(g.num_vertices(), 0),
-      local_deg_(g.num_vertices(), 0),
-      visit_epoch_of_(g.num_vertices(), 0) {}
+      member_epoch_(g.num_vertices(), 0),
+      degree_(g.num_vertices(), 0),
+      visited_(g.num_vertices(), 0) {}
 
-std::size_t SubsetPeeler::BeginEpoch(const VertexList& members,
-                                     VertexId skip) {
+void SubsetPeeler::Stamp(std::span<const VertexId> members) {
   ++epoch_;
-  std::size_t working = 0;
   for (const VertexId v : members) {
-    if (v == skip) continue;
     TICL_DCHECK(v < g_->num_vertices());
-    TICL_CHECK_MSG(epoch_of_[v] != epoch_, "duplicate vertex in peel subset");
-    epoch_of_[v] = epoch_;
-    alive_[v] = 1;
-    ++working;
+    TICL_CHECK_MSG(member_epoch_[v] != epoch_, "duplicate vertex in subset");
+    member_epoch_[v] = epoch_;
   }
-  for (const VertexId v : members) {
-    if (v == skip) continue;
-    VertexId d = 0;
-    for (const VertexId nbr : g_->neighbors(v)) {
-      if (epoch_of_[nbr] == epoch_) ++d;
-    }
-    local_deg_[v] = d;
-  }
-  return working;
 }
 
 void SubsetPeeler::Cascade(VertexId k) {
-  // The entry points have already pushed the initial under-degree victims
-  // into queue_ (right after BeginEpoch computed induced degrees); this
-  // drains it to the fixpoint.
-  last_cascade_size_ = 0;
   while (!queue_.empty()) {
     const VertexId v = queue_.back();
     queue_.pop_back();
-    if (!InWorkingSet(v)) continue;
-    alive_[v] = 0;
-    ++last_cascade_size_;
+    if (!Contains(v)) continue;
+    member_epoch_[v] = 0;  // epochs start at 1, so 0 is never current
     for (const VertexId nbr : g_->neighbors(v)) {
-      if (!InWorkingSet(nbr)) continue;
-      if (local_deg_[nbr] > 0) --local_deg_[nbr];
-      if (local_deg_[nbr] < k) queue_.push_back(nbr);
+      if (Contains(nbr) && --degree_[nbr] < k) queue_.push_back(nbr);
     }
   }
 }
 
-VertexList SubsetPeeler::Survivors(const VertexList& members,
-                                   VertexId skip) const {
-  VertexList out;
-  for (const VertexId v : members) {
-    if (v != skip && InWorkingSet(v)) out.push_back(v);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-VertexList SubsetPeeler::Peel(const VertexList& members, VertexId k) {
-  BeginEpoch(members, kInvalidVertex);
+void SubsetPeeler::Load(const VertexList& members, VertexId k) {
+  Stamp(members);
   queue_.clear();
   for (const VertexId v : members) {
-    if (local_deg_[v] < k) queue_.push_back(v);
+    VertexId d = 0;
+    for (const VertexId nbr : g_->neighbors(v)) d += Contains(nbr);
+    degree_[v] = d;
+    if (d < k) queue_.push_back(v);
   }
   Cascade(k);
-  return Survivors(members, kInvalidVertex);
 }
 
-std::vector<VertexList> SubsetPeeler::SplitSurvivors(
-    const VertexList& members, VertexId skip) {
-  std::vector<VertexList> components;
-  std::vector<VertexId> stack;
-  for (const VertexId start : members) {
-    if (start == skip || !InWorkingSet(start)) continue;
-    if (visit_epoch_of_[start] == epoch_) continue;
-    VertexList component;
-    visit_epoch_of_[start] = epoch_;
-    stack.clear();
-    stack.push_back(start);
-    while (!stack.empty()) {
-      const VertexId v = stack.back();
-      stack.pop_back();
-      component.push_back(v);
-      for (const VertexId nbr : g_->neighbors(v)) {
-        if (InWorkingSet(nbr) && visit_epoch_of_[nbr] != epoch_) {
-          visit_epoch_of_[nbr] = epoch_;
-          stack.push_back(nbr);
-        }
+void SubsetPeeler::Delete(VertexId u, VertexId k) {
+  queue_.assign(1, u);
+  Cascade(k);
+}
+
+std::size_t SubsetPeeler::MarkComponent(VertexId start) {
+  const std::uint64_t stamp = ++visit_;
+  visited_[start] = stamp;
+  queue_.assign(1, start);
+  for (std::size_t head = 0; head < queue_.size(); ++head) {
+    for (const VertexId nbr : g_->neighbors(queue_[head])) {
+      if (Contains(nbr) && visited_[nbr] != stamp) {
+        visited_[nbr] = stamp;
+        queue_.push_back(nbr);
       }
     }
-    std::sort(component.begin(), component.end());
-    components.push_back(std::move(component));
+  }
+  return queue_.size();
+}
+
+VertexList SubsetPeeler::ComponentOf(VertexId u) {
+  TICL_DCHECK(Contains(u));
+  MarkComponent(u);
+  VertexList component(queue_.begin(), queue_.end());
+  std::sort(component.begin(), component.end());
+  return component;
+}
+
+std::vector<VertexList> SubsetPeeler::SplitWorkingSet(
+    std::span<const VertexId> members) {
+  // Label each component with its BFS stamp, then deal the members out in
+  // their own (ascending) order, so every component comes out sorted.
+  const std::uint64_t base = visit_;
+  std::vector<VertexList> components;
+  for (const VertexId start : members) {
+    if (!Contains(start) || visited_[start] > base) continue;
+    components.emplace_back().reserve(MarkComponent(start));
+  }
+  for (const VertexId v : members) {
+    if (Contains(v)) components[visited_[v] - base - 1].push_back(v);
   }
   return components;
 }
 
-std::vector<VertexList> SubsetPeeler::PeelAndSplit(const VertexList& members,
-                                                   VertexId k) {
-  BeginEpoch(members, kInvalidVertex);
-  queue_.clear();
+VertexList SubsetPeeler::Peel(const VertexList& members, VertexId k) {
+  Load(members, k);
+  VertexList survivors;
   for (const VertexId v : members) {
-    if (local_deg_[v] < k) queue_.push_back(v);
+    if (Contains(v)) survivors.push_back(v);
   }
-  Cascade(k);
-  return SplitSurvivors(members, kInvalidVertex);
+  return survivors;
+}
+
+std::vector<VertexList> SubsetPeeler::Split(
+    std::span<const VertexId> members) {
+  Stamp(members);
+  return SplitWorkingSet(members);
 }
 
 std::vector<VertexList> SubsetPeeler::RemoveAndSplit(
     const VertexList& members, VertexId removed, VertexId k) {
   TICL_DCHECK(std::find(members.begin(), members.end(), removed) !=
               members.end());
-  BeginEpoch(members, removed);
-  queue_.clear();
+  Load(members, k);
+  Delete(removed, k);
+  return SplitWorkingSet(members);
+}
+
+bool SubsetPeeler::IsConnectedKCore(std::span<const VertexId> members,
+                                    VertexId k) {
+  if (members.empty()) return true;
+  Stamp(members);
   for (const VertexId v : members) {
-    if (v != removed && local_deg_[v] < k) queue_.push_back(v);
+    VertexId d = 0;
+    for (const VertexId nbr : g_->neighbors(v)) d += Contains(nbr);
+    if (d < k) return false;
   }
-  Cascade(k);
-  return SplitSurvivors(members, removed);
+  return MarkComponent(members.front()) == members.size();
+}
+
+VertexList SubsetPeeler::NearestNeighbors(
+    VertexId seed, std::size_t limit, std::span<const std::uint8_t> allowed) {
+  VertexList collected;
+  if (limit == 0) return collected;
+  TICL_CHECK(seed < g_->num_vertices());
+  TICL_CHECK(allowed.size() == g_->num_vertices());
+  TICL_CHECK_MSG(allowed[seed] != 0, "seed filtered out by `allowed`");
+  // `collected` doubles as the FIFO frontier: entries past `head` are the
+  // vertices whose neighbours are not yet scanned.
+  const std::uint64_t stamp = ++visit_;
+  visited_[seed] = stamp;
+  collected.push_back(seed);
+  for (std::size_t head = 0;
+       head < collected.size() && collected.size() < limit; ++head) {
+    for (const VertexId nbr : g_->neighbors(collected[head])) {
+      if (visited_[nbr] == stamp || allowed[nbr] == 0) continue;
+      visited_[nbr] = stamp;
+      collected.push_back(nbr);
+      if (collected.size() == limit) break;
+    }
+  }
+  return collected;
 }
 
 }  // namespace ticl

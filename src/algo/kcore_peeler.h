@@ -1,16 +1,21 @@
-// Cascade peeling of vertex subsets back to k-cores.
+// The induced-subgraph workspace every solver shares.
 //
 // Algorithms 1 and 2 delete one vertex from a candidate community and must
 // then restore the k-core property (removals can cascade) and split the
-// survivors into connected components. This class owns the O(n) scratch
-// arrays (epoch-stamped so they are reset in O(1) per call) and performs
-// each peel in time linear in the size of the subset plus its incident
-// edges.
+// survivors into connected components; the min peel deletes vertices one
+// at a time and reads off the component of each; local search collects
+// BFS neighbourhoods and tests prefixes for being connected k-cores. This
+// class owns the O(n) scratch arrays for all of it. Both the working-set
+// membership and the BFS visits are epoch-stamped, so each call resets in
+// O(1) and costs time linear in the subset plus its incident edges.
+//
+// A peeler is single-threaded scratch: parallel callers own one each.
 
 #ifndef TICL_ALGO_KCORE_PEELER_H_
 #define TICL_ALGO_KCORE_PEELER_H_
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.h"
@@ -23,48 +28,72 @@ class SubsetPeeler {
   explicit SubsetPeeler(const Graph& g);
 
   /// Returns the maximal k-core of the subgraph induced by `members`
-  /// (sorted ascending; possibly empty). `members` must be duplicate-free.
+  /// (sorted ascending, duplicate-free; possibly empty), sorted.
   VertexList Peel(const VertexList& members, VertexId k);
 
-  /// Peel, then split the survivors into connected components (each sorted).
-  std::vector<VertexList> PeelAndSplit(const VertexList& members, VertexId k);
+  /// Connected components of the subgraph induced by `members` (sorted
+  /// ascending, duplicate-free). Each component is sorted, and components
+  /// come in order of their first member.
+  std::vector<VertexList> Split(std::span<const VertexId> members);
 
-  /// Convenience for the solvers' inner step: removes `removed` from
-  /// `members`, peels, splits. `removed` must be present in `members`.
+  /// The solvers' inner step: removes `removed` (present in `members`)
+  /// from `members`, peels to the k-core and splits it as Split does.
   std::vector<VertexList> RemoveAndSplit(const VertexList& members,
                                          VertexId removed, VertexId k);
 
-  /// Vertices peeled away (beyond explicit removals) by the last call.
-  std::size_t last_cascade_size() const { return last_cascade_size_; }
+  /// True if `members` (any order, duplicate-free) induces a connected
+  /// subgraph of minimum degree >= k. The empty set counts as one.
+  bool IsConnectedKCore(std::span<const VertexId> members, VertexId k);
+
+  /// Up to `limit` vertices in BFS order from `seed` (seed included,
+  /// distance ties broken by adjacency order, which is ascending vertex
+  /// id), visiting only vertices v with allowed[v] != 0. `allowed` has one
+  /// entry per vertex and must admit the seed. This is the paper's
+  /// s-nearest-neighbour expansion: when the 1-hop ball is too small the
+  /// search continues to 2 hops and beyond.
+  VertexList NearestNeighbors(VertexId seed, std::size_t limit,
+                              std::span<const std::uint8_t> allowed);
+
+  // -- Incremental peel over a working set (the min peel) -----------------
+
+  /// Makes the maximal k-core of `members` (duplicate-free) the working
+  /// set.
+  void Load(const VertexList& members, VertexId k);
+
+  bool Contains(VertexId v) const { return member_epoch_[v] == epoch_; }
+
+  /// Deletes `u` from the working set (a no-op if absent) and cascades
+  /// every vertex whose induced degree drops below k.
+  void Delete(VertexId u, VertexId k);
+
+  /// Component of working-set vertex `u`, sorted.
+  VertexList ComponentOf(VertexId u);
 
  private:
-  /// Stamps `members` (minus `skip`, if valid) into the working set and
-  /// computes their induced degrees. Returns the working-set size.
-  std::size_t BeginEpoch(const VertexList& members, VertexId skip);
+  /// Starts a new working set holding exactly `members`.
+  void Stamp(std::span<const VertexId> members);
 
-  /// Queue-based cascade removal of working-set vertices with degree < k.
+  /// Drains queue_: removes each queued working-set vertex and queues the
+  /// neighbours whose induced degree drops below k.
   void Cascade(VertexId k);
 
-  /// Survivors of `members` after Cascade, sorted.
-  VertexList Survivors(const VertexList& members, VertexId skip) const;
+  /// Stamps the working-set component of `start` with a fresh visit stamp
+  /// and leaves its vertices in queue_ (BFS order). Returns its size.
+  std::size_t MarkComponent(VertexId start);
 
-  /// Components of the surviving working set.
-  std::vector<VertexList> SplitSurvivors(const VertexList& members,
-                                         VertexId skip);
-
-  bool InWorkingSet(VertexId v) const {
-    return epoch_of_[v] == epoch_ && alive_[v];
-  }
+  /// Components of the working-set vertices among `members`.
+  std::vector<VertexList> SplitWorkingSet(std::span<const VertexId> members);
 
   const Graph* g_;
+  // v is in the working set iff member_epoch_[v] == epoch_.
   std::uint64_t epoch_ = 0;
-  std::vector<std::uint64_t> epoch_of_;
-  std::vector<std::uint8_t> alive_;
-  std::vector<VertexId> local_deg_;
-  std::vector<VertexId> queue_;
-  // Component-split scratch (second stamp so Cascade state is preserved).
-  std::vector<std::uint64_t> visit_epoch_of_;
-  std::size_t last_cascade_size_ = 0;
+  std::vector<std::uint64_t> member_epoch_;
+  std::vector<VertexId> degree_;  // induced degree within the working set
+  // One stamp per BFS. Split stamps each component with its own value,
+  // so the stamp doubles as the component label.
+  std::uint64_t visit_ = 0;
+  std::vector<std::uint64_t> visited_;
+  std::vector<VertexId> queue_;  // cascade stack, then BFS frontier
 };
 
 }  // namespace ticl

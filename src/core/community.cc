@@ -19,6 +19,15 @@ Community MakeCommunity(const Graph& g, VertexList members,
   return c;
 }
 
+bool SameMembers(const Community& a, const Community& b) {
+  return a.hash == b.hash && a.members == b.members;
+}
+
+bool Retains(const TopRList<Community>& top, const Community& c) {
+  return std::any_of(top.entries().begin(), top.entries().end(),
+                     [&c](const auto& e) { return SameMembers(e.value, c); });
+}
+
 bool CommunitiesOverlap(const Community& a, const Community& b) {
   std::size_t i = 0;
   std::size_t j = 0;

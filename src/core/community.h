@@ -8,6 +8,7 @@
 
 #include "core/aggregation.h"
 #include "graph/graph.h"
+#include "util/top_r_list.h"
 
 namespace ticl {
 
@@ -27,6 +28,18 @@ struct Community {
 /// evaluating `spec` on `g`'s weights.
 Community MakeCommunity(const Graph& g, VertexList members,
                         const AggregationSpec& spec);
+
+/// True if the two communities have the same member set. Compares hashes
+/// first and members only on a match, so a hash collision never makes two
+/// different communities equal.
+bool SameMembers(const Community& a, const Community& b);
+
+/// True if `top` retains a community with c's member set. The solvers
+/// dedup against their at most r retained entries instead of remembering
+/// every candidate: a repeat that is no longer retained was rejected or
+/// evicted, so it ranks below the r-th entry, and as that threshold never
+/// falls it would be rejected again.
+bool Retains(const TopRList<Community>& top, const Community& c);
 
 /// True if the two communities share at least one vertex (members sorted).
 bool CommunitiesOverlap(const Community& a, const Community& b);

@@ -1,10 +1,7 @@
 #include "core/exact_search.h"
 
 #include <algorithm>
-#include <unordered_set>
 
-#include "algo/connectivity.h"
-#include "algo/core_decomposition.h"
 #include "algo/kcore_peeler.h"
 #include "core/verification.h"
 #include "serve/core_index.h"
@@ -32,18 +29,6 @@ std::uint64_t CountSubsetsClamped(std::uint64_t n, std::uint64_t max_size,
   return total;
 }
 
-/// True if `members` (sorted) induces a min-degree >= k connected subgraph.
-bool IsConnectedKCore(const Graph& g, const VertexList& members, VertexId k) {
-  for (const VertexId v : members) {
-    VertexId deg = 0;
-    for (const VertexId nbr : g.neighbors(v)) {
-      if (std::binary_search(members.begin(), members.end(), nbr)) ++deg;
-    }
-    if (deg < k) return false;
-  }
-  return IsSubsetConnected(g, members);
-}
-
 struct EnumerationOutput {
   TopRList<Community> top;
   std::vector<Community> all;  // only filled when enforce_maximality
@@ -54,10 +39,11 @@ struct EnumerationOutput {
 void EnumerateRecursive(const Graph& g, const Query& query,
                         const ExactOptions& options,
                         const VertexList& universe, std::size_t start,
-                        VertexList* current, EnumerationOutput* out) {
+                        SubsetPeeler* peeler, VertexList* current,
+                        EnumerationOutput* out) {
   if (current->size() >= static_cast<std::size_t>(query.k) + 1) {
     ++out->subsets_examined;
-    if (IsConnectedKCore(g, *current, query.k)) {
+    if (peeler->IsConnectedKCore(*current, query.k)) {
       Community c = MakeCommunity(g, *current, query.aggregation);
       // Undefined values (balanced density with a non-positive denominator
       // evaluates to -inf) are not communities; skip the candidate but keep
@@ -81,7 +67,8 @@ void EnumerateRecursive(const Graph& g, const Query& query,
   if (current->size() >= limit) return;
   for (std::size_t i = start; i < universe.size(); ++i) {
     current->push_back(universe[i]);
-    EnumerateRecursive(g, query, options, universe, i + 1, current, out);
+    EnumerateRecursive(g, query, options, universe, i + 1, peeler, current,
+                       out);
     current->pop_back();
   }
 }
@@ -91,6 +78,7 @@ void EnumerateRecursive(const Graph& g, const Query& query,
 std::vector<Community> EnumerateTopR(const Graph& g, const Query& query,
                                      const ExactOptions& options,
                                      const VertexList& universe,
+                                     SubsetPeeler* peeler,
                                      SearchStats* stats) {
   const std::uint64_t predicted = CountSubsetsClamped(
       universe.size(),
@@ -102,7 +90,7 @@ std::vector<Community> EnumerateTopR(const Graph& g, const Query& query,
 
   EnumerationOutput out{TopRList<Community>(query.r), {}, 0, 0};
   VertexList current;
-  EnumerateRecursive(g, query, options, universe, 0, &current, &out);
+  EnumerateRecursive(g, query, options, universe, 0, peeler, &current, &out);
   stats->candidates_generated += out.candidates;
 
   if (!options.enforce_maximality) {
@@ -168,7 +156,7 @@ SearchResult ExactSearch(const Graph& g, const Query& query,
 
   if (!query.non_overlapping) {
     result.communities =
-        EnumerateTopR(g, query, options, universe, &result.stats);
+        EnumerateTopR(g, query, options, universe, &peeler, &result.stats);
   } else {
     // Greedy TONIC: take the best community, exclude its vertices, re-peel
     // the remaining universe, repeat. Optimal per pick.
@@ -178,7 +166,7 @@ SearchResult ExactSearch(const Graph& g, const Query& query,
     for (std::uint32_t round = 0; round < query.r; ++round) {
       if (universe.empty()) break;
       std::vector<Community> best =
-          EnumerateTopR(g, single, options, universe, &result.stats);
+          EnumerateTopR(g, single, options, universe, &peeler, &result.stats);
       if (best.empty()) break;
       Community chosen = std::move(best.front());
       VertexList remaining;

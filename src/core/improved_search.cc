@@ -1,10 +1,9 @@
 #include "core/improved_search.h"
 
 #include <algorithm>
-#include <unordered_set>
 
-#include "algo/core_decomposition.h"
 #include "algo/kcore_peeler.h"
+#include "core/naive_search.h"
 #include "serve/core_index.h"
 #include "util/check.h"
 #include "util/timing.h"
@@ -78,6 +77,15 @@ class CandidatePool {
     return pick;
   }
 
+  /// True if a retained candidate has c's member set (see Retains in
+  /// core/community.h for why the retained entries suffice).
+  bool Contains(const Community& c) const {
+    return std::any_of(entries_.begin(), entries_.end(),
+                       [&c](const PoolEntry& e) {
+                         return SameMembers(e.community, c);
+                       });
+  }
+
   /// Number of retained candidates with value >= bound.
   std::size_t CountAtLeast(double bound) const {
     std::size_t count = 0;
@@ -130,26 +138,6 @@ double ChildValueBound(const AggregationSpec& spec, double parent_value,
   }
 }
 
-SearchResult TopRComponents(const Graph& g, const Query& query,
-                            const CoreIndex* core_index) {
-  WallTimer timer;
-  SearchResult result;
-  TopRList<Community> top(query.r);
-  for (VertexList& component :
-       IndexedKCoreComponents(core_index, g, query.k)) {
-    Community c = MakeCommunity(g, std::move(component), query.aggregation);
-    ++result.stats.candidates_generated;
-    const double influence = c.influence;
-    const std::uint64_t hash = c.hash;
-    top.Insert(influence, hash, std::move(c));
-  }
-  for (auto& entry : top.TakeSortedDescending()) {
-    result.communities.push_back(std::move(entry.value));
-  }
-  result.stats.elapsed_seconds = timer.ElapsedSeconds();
-  return result;
-}
-
 }  // namespace
 
 SearchResult ImprovedSearch(const Graph& g, const Query& query,
@@ -162,22 +150,20 @@ SearchResult ImprovedSearch(const Graph& g, const Query& query,
       "ImprovedSearch requires a monotone aggregation (sum family)");
   TICL_CHECK(options.epsilon >= 0.0 && options.epsilon < 1.0);
   if (query.non_overlapping) {
-    return TopRComponents(g, query, options.core_index);
+    return TopRCoreComponents(g, query, options.core_index);
   }
 
   WallTimer timer;
   SearchResult result;
   SubsetPeeler peeler(g);
-  std::unordered_set<std::uint64_t> seen;
   CandidatePool pool(query.r);
   std::uint64_t sequence = 0;
 
   // Lines 1-2: seed with the k-core components.
   for (VertexList& component :
-       IndexedKCoreComponents(options.core_index, g, query.k)) {
+       peeler.Split(IndexedMaximalKCore(options.core_index, g, query.k))) {
     Community c = MakeCommunity(g, std::move(component), query.aggregation);
     ++result.stats.candidates_generated;
-    seen.insert(c.hash);
     pool.Insert(std::move(c), sequence++);
   }
 
@@ -230,7 +216,7 @@ SearchResult ImprovedSearch(const Graph& g, const Query& query,
       for (VertexList& child :
            peeler.RemoveAndSplit(parent_members, v, query.k)) {
         Community c = MakeCommunity(g, std::move(child), query.aggregation);
-        if (!seen.insert(c.hash).second) {
+        if (pool.Contains(c)) {
           ++result.stats.duplicates_skipped;
           continue;
         }

@@ -12,7 +12,8 @@
 //     cannot beat the current r-th value f(L_r) is skipped without peeling
 //     (the paper's Line 13 test);
 //   * candidates evicted from L can never re-enter the top-r, so L *is*
-//     the complete frontier — memory stays at O(r) communities.
+//     the complete frontier — memory stays at O(r) communities, and a
+//     repeated candidate only needs checking against L itself.
 // With epsilon > 0 the loop stops as soon as L already holds r candidates
 // with value >= (1 - epsilon) * f(L_max): the exact r-th value re is at
 // most f(L_max), so every returned value meets the bound.

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <memory>
 #include <thread>
-#include <unordered_set>
 
-#include "algo/connectivity.h"
-#include "algo/core_decomposition.h"
+#include "algo/kcore_peeler.h"
 #include "serve/core_index.h"
 #include "util/check.h"
 #include "util/timing.h"
@@ -70,20 +68,6 @@ class PrefixEvaluator {
   std::vector<Frame> stack_;
 };
 
-/// "C is a k-core" test from the strategy procedures, completed with the
-/// connectivity requirement of Definition 3.
-bool IsConnectedKCore(const Graph& g, VertexList members, VertexId k) {
-  std::sort(members.begin(), members.end());
-  for (const VertexId v : members) {
-    VertexId deg = 0;
-    for (const VertexId nbr : g.neighbors(v)) {
-      if (std::binary_search(members.begin(), members.end(), nbr)) ++deg;
-    }
-    if (deg < k) return false;
-  }
-  return IsSubsetConnected(g, members);
-}
-
 /// Shared accept-side state for both strategies.
 struct Acceptor {
   const Graph* g;
@@ -91,17 +75,16 @@ struct Acceptor {
   std::vector<Community> accepted;        // TONIC mode
   TopRList<Community> top;                // TIC (overlap) mode
   TopRList<std::uint64_t> tonic_values;   // TONIC threshold tracking
-  std::unordered_set<std::uint64_t> seen;
-  std::vector<std::uint8_t>* removed;     // TONIC vertex lock-out
+  std::vector<std::uint8_t>* allowed;     // TONIC vertex lock-out
   SearchStats* stats;
 
   Acceptor(const Graph& graph, const Query& q,
-           std::vector<std::uint8_t>* removed_flags, SearchStats* s)
+           std::vector<std::uint8_t>* allowed_flags, SearchStats* s)
       : g(&graph),
         query(&q),
         top(q.r),
         tonic_values(q.r),
-        removed(removed_flags),
+        allowed(allowed_flags),
         stats(s) {}
 
   /// f(L_r): current acceptance threshold.
@@ -110,23 +93,26 @@ struct Acceptor {
                                   : top.Threshold();
   }
 
-  /// Installs a validated candidate.
+  /// Installs a validated candidate. TONIC never sees a repeat: accepted
+  /// vertices are locked out of every later neighbourhood.
   void Accept(VertexList members_in_order) {
     Community c = MakeCommunity(*g, std::move(members_in_order),
                                 query->aggregation);
-    if (!seen.insert(c.hash).second) {
+    if (!query->non_overlapping && Retains(top, c)) {
       ++stats->duplicates_skipped;
       return;
     }
     ++stats->candidates_generated;
     if (query->non_overlapping) {
-      for (const VertexId v : c.members) (*removed)[v] = 1;
+      for (const VertexId v : c.members) (*allowed)[v] = 0;
       tonic_values.Insert(c.influence, c.hash, c.hash);
       accepted.push_back(std::move(c));
     } else {
       const double influence = c.influence;
       const std::uint64_t hash = c.hash;
-      top.Insert(influence, hash, std::move(c));
+      if (!top.Insert(influence, hash, std::move(c))) {
+        ++stats->candidates_pruned;
+      }
     }
   }
 
@@ -151,14 +137,14 @@ struct Acceptor {
 
 /// Procedure SumStrategy: pop the tail while the candidate can still beat
 /// the threshold; accept the first connected k-core.
-void RunSumStrategy(const Graph& g, const Query& query,
-                    const VertexList& neighbourhood, PrefixEvaluator* eval,
+void RunSumStrategy(const Query& query, const VertexList& neighbourhood,
+                    SubsetPeeler* peeler, PrefixEvaluator* eval,
                     Acceptor* acceptor) {
   eval->Clear();
   for (const VertexId v : neighbourhood) eval->Push(v);
   while (eval->size() > query.k && eval->Value() > acceptor->Threshold()) {
     ++acceptor->stats->peel_operations;
-    if (IsConnectedKCore(g, eval->Members(), query.k)) {
+    if (peeler->IsConnectedKCore(eval->Members(), query.k)) {
       acceptor->Accept(eval->Members());
       return;
     }
@@ -169,9 +155,9 @@ void RunSumStrategy(const Graph& g, const Query& query,
 
 /// Procedure AvgStrategy: test every prefix; greedy accepts the first
 /// qualifying one, random keeps the best.
-void RunAvgStrategy(const Graph& g, const Query& query, bool greedy,
-                    const VertexList& neighbourhood, PrefixEvaluator* eval,
-                    Acceptor* acceptor) {
+void RunAvgStrategy(const Query& query, bool greedy,
+                    const VertexList& neighbourhood, SubsetPeeler* peeler,
+                    PrefixEvaluator* eval, Acceptor* acceptor) {
   eval->Clear();
   VertexList best;
   double best_value = -std::numeric_limits<double>::infinity();
@@ -182,7 +168,7 @@ void RunAvgStrategy(const Graph& g, const Query& query, bool greedy,
     if (value <= acceptor->Threshold()) continue;
     if (!greedy && value <= best_value) continue;
     ++acceptor->stats->peel_operations;
-    if (!IsConnectedKCore(g, eval->Members(), query.k)) continue;
+    if (!peeler->IsConnectedKCore(eval->Members(), query.k)) continue;
     if (greedy) {
       acceptor->Accept(eval->Members());
       return;
@@ -215,11 +201,12 @@ SearchResult LocalSearch(const Graph& g, const Query& query,
                  "neighbourhood cap below the smallest possible k-core");
 
   // Line 1: restrict to the maximal k-core.
+  // `allowed` marks the k-core minus TONIC's accepted vertices: the
+  // vertices a neighbourhood may still reach.
   const VertexList core =
       IndexedMaximalKCore(options.core_index, g, query.k);
-  std::vector<std::uint8_t> in_core(g.num_vertices(), 0);
-  for (const VertexId v : core) in_core[v] = 1;
-  std::vector<std::uint8_t> removed(g.num_vertices(), 0);
+  std::vector<std::uint8_t> allowed(g.num_vertices(), 0);
+  for (const VertexId v : core) allowed[v] = 1;
 
   VertexList seeds = core;
   if (options.seed_order == SeedOrder::kDescendingWeight) {
@@ -239,17 +226,15 @@ SearchResult LocalSearch(const Graph& g, const Query& query,
   // Processes seeds[first], seeds[first + stride], ... into `acceptor`.
   const auto run_seed_range = [&](std::size_t first, std::size_t stride,
                                   Acceptor* acceptor, SearchStats* stats) {
+    SubsetPeeler peeler(g);
     PrefixEvaluator eval(g, query.aggregation);
-    const auto allowed = [&](VertexId v) {
-      return in_core[v] != 0 && removed[v] == 0;
-    };
     for (std::size_t i = first; i < seeds.size(); i += stride) {
       const VertexId seed = seeds[i];
-      if (removed[seed] != 0) continue;  // consumed by a TONIC acceptance
+      if (allowed[seed] == 0) continue;  // consumed by a TONIC acceptance
       ++stats->seeds_processed;
       // Line 4: the s-nearest neighbourhood of the seed.
       VertexList neighbourhood =
-          CollectNearestNeighbors(g, seed, s_eff, allowed);
+          peeler.NearestNeighbors(seed, s_eff, allowed);
       if (neighbourhood.size() < static_cast<std::size_t>(query.k) + 1) {
         continue;
       }
@@ -266,30 +251,30 @@ SearchResult LocalSearch(const Graph& g, const Query& query,
       }
       // Line 7: per-aggregation strategy.
       if (monotone) {
-        RunSumStrategy(g, query, neighbourhood, &eval, acceptor);
+        RunSumStrategy(query, neighbourhood, &peeler, &eval, acceptor);
       } else {
-        RunAvgStrategy(g, query, options.greedy, neighbourhood, &eval,
+        RunAvgStrategy(query, options.greedy, neighbourhood, &peeler, &eval,
                        acceptor);
       }
     }
   };
 
   if (num_threads == 1) {
-    Acceptor acceptor(g, query, &removed, &result.stats);
+    Acceptor acceptor(g, query, &allowed, &result.stats);
     run_seed_range(0, 1, &acceptor, &result.stats);
     result.communities = acceptor.TakeTopR();
   } else {
     // Parallel seed expansion (paper §VIII): workers own disjoint strided
-    // seed ranges, private result lists and dedup sets; nothing shared is
-    // written (`removed` stays all-zero in overlap mode). Merging the
-    // per-worker top-r lists with global dedup is deterministic for a
-    // fixed thread count.
+    // seed ranges, private result lists and peelers; nothing shared is
+    // written (`allowed` is only written by TONIC, which runs serially).
+    // Merging the per-worker top-r lists with dedup is deterministic for
+    // a fixed thread count.
     std::vector<SearchStats> worker_stats(num_threads);
     std::vector<std::unique_ptr<Acceptor>> acceptors;
     acceptors.reserve(num_threads);
     for (unsigned t = 0; t < num_threads; ++t) {
       acceptors.push_back(
-          std::make_unique<Acceptor>(g, query, &removed, &worker_stats[t]));
+          std::make_unique<Acceptor>(g, query, &allowed, &worker_stats[t]));
     }
     std::vector<std::thread> workers;
     workers.reserve(num_threads);
@@ -300,10 +285,9 @@ SearchResult LocalSearch(const Graph& g, const Query& query,
     for (std::thread& worker : workers) worker.join();
 
     TopRList<Community> merged(query.r);
-    std::unordered_set<std::uint64_t> merged_seen;
     for (unsigned t = 0; t < num_threads; ++t) {
       for (Community& c : acceptors[t]->TakeTopR()) {
-        if (!merged_seen.insert(c.hash).second) continue;
+        if (Retains(merged, c)) continue;
         const double influence = c.influence;
         const std::uint64_t hash = c.hash;
         merged.Insert(influence, hash, std::move(c));

@@ -51,7 +51,7 @@ struct LocalSearchOptions {
   VertexId neighborhood_cap = 0;
   /// Parallel seed expansion — the paper's §VIII future-work direction.
   /// Seeds are strided across workers, each with a private result list and
-  /// dedup set; the lists are merged afterwards. Deterministic for a fixed
+  /// SubsetPeeler; the lists are merged afterwards. Deterministic for a fixed
   /// thread count. Only overlapping (TIC) queries parallelize — TONIC's
   /// vertex removals are inherently sequential, so it runs serially
   /// regardless of this setting.

@@ -1,10 +1,10 @@
 #include "core/minmax_search.h"
 
 #include <algorithm>
-#include <functional>
+#include <cstdint>
 
-#include "algo/core_decomposition.h"
 #include "algo/kcore_peeler.h"
+#include "core/naive_search.h"
 #include "serve/core_index.h"
 #include "util/check.h"
 #include "util/timing.h"
@@ -14,120 +14,49 @@ namespace ticl {
 
 namespace {
 
-/// Replays the min-weight peel over `members` (must induce a k-core, i.e.
-/// already peeled). Invokes `snapshot(step, u)` before deleting each
-/// minimum vertex u; the callback may inspect `alive` to materialize u's
-/// component. Returns the number of snapshot steps.
-class MinPeelDriver {
- public:
-  MinPeelDriver(const Graph& g, const VertexList& members, VertexId k)
-      : g_(&g), members_(members), k_(k) {}
-
-  using SnapshotFn =
-      std::function<void(std::size_t step, VertexId u,
-                         const std::vector<std::uint8_t>& alive)>;
-
-  std::size_t Run(const SnapshotFn& snapshot) {
-    const VertexId n = g_->num_vertices();
-    std::vector<std::uint8_t> alive(n, 0);
-    std::vector<VertexId> deg(n, 0);
-    for (const VertexId v : members_) alive[v] = 1;
-    for (const VertexId v : members_) {
-      VertexId d = 0;
-      for (const VertexId nbr : g_->neighbors(v)) {
-        if (alive[nbr]) ++d;
-      }
-      deg[v] = d;
-      TICL_CHECK_MSG(d >= k_, "MinPeelDriver requires a peeled member set");
-    }
-
-    // Deletion candidates in (weight, id) order; dead entries skipped.
-    VertexList order = members_;
-    std::sort(order.begin(), order.end(), [this](VertexId a, VertexId b) {
-      if (g_->weight(a) != g_->weight(b)) {
-        return g_->weight(a) < g_->weight(b);
-      }
-      return a < b;
-    });
-
-    std::vector<VertexId> cascade;
-    std::size_t step = 0;
-    std::size_t cursor = 0;
-    for (;;) {
-      while (cursor < order.size() && !alive[order[cursor]]) ++cursor;
-      if (cursor == order.size()) break;
-      const VertexId u = order[cursor];
-      if (snapshot) snapshot(step, u, alive);
-      ++step;
-      // Delete u, then cascade-peel vertices that drop below degree k.
-      cascade.clear();
-      cascade.push_back(u);
-      while (!cascade.empty()) {
-        const VertexId v = cascade.back();
-        cascade.pop_back();
-        if (!alive[v]) continue;
-        alive[v] = 0;
-        for (const VertexId nbr : g_->neighbors(v)) {
-          if (!alive[nbr]) continue;
-          --deg[nbr];
-          if (deg[nbr] < k_) cascade.push_back(nbr);
-        }
-      }
-    }
-    return step;
+/// Replays the min-weight peel over `members` (a k-core): repeatedly
+/// deletes the surviving vertex u that comes first in `order` (members by
+/// (weight, id)) and cascades. Appends u's component, taken just before
+/// u's deletion, for every step >= first_wanted. Returns the step count.
+std::size_t MinPeel(SubsetPeeler* peeler, const VertexList& members,
+                    const VertexList& order, VertexId k,
+                    std::size_t first_wanted, std::vector<VertexList>* out) {
+  peeler->Load(members, k);
+  std::size_t step = 0;
+  for (const VertexId u : order) {
+    if (!peeler->Contains(u)) continue;
+    if (step++ >= first_wanted) out->push_back(peeler->ComponentOf(u));
+    peeler->Delete(u, k);
   }
-
- private:
-  const Graph* g_;
-  const VertexList& members_;
-  VertexId k_;
-};
-
-/// Component of `u` among alive vertices, sorted.
-VertexList AliveComponent(const Graph& g, VertexId u,
-                          const std::vector<std::uint8_t>& alive) {
-  VertexList component;
-  std::vector<VertexId> stack{u};
-  std::vector<std::uint8_t> visited(g.num_vertices(), 0);
-  visited[u] = 1;
-  while (!stack.empty()) {
-    const VertexId v = stack.back();
-    stack.pop_back();
-    component.push_back(v);
-    for (const VertexId nbr : g.neighbors(v)) {
-      if (alive[nbr] && !visited[nbr]) {
-        visited[nbr] = 1;
-        stack.push_back(nbr);
-      }
-    }
-  }
-  std::sort(component.begin(), component.end());
-  return component;
+  return step;
 }
 
 /// Top-r (possibly nested) min communities within one already-peeled member
 /// set, appended to `out` via two peel passes.
-void MinTopRWithin(const Graph& g, const VertexList& members,
-                   const Query& query, std::uint32_t want,
-                   std::vector<Community>* out, SearchStats* stats) {
+void MinTopRWithin(const Graph& g, SubsetPeeler* peeler,
+                   const VertexList& members, const Query& query,
+                   std::uint32_t want, std::vector<Community>* out,
+                   SearchStats* stats) {
   if (members.empty()) return;
-  MinPeelDriver counter(g, members, query.k);
-  const std::size_t total_steps = counter.Run(nullptr);
+  VertexList order = members;
+  std::sort(order.begin(), order.end(), [&g](VertexId a, VertexId b) {
+    if (g.weight(a) != g.weight(b)) return g.weight(a) < g.weight(b);
+    return a < b;
+  });
+  std::vector<VertexList> snapshots;
+  const std::size_t total_steps =
+      MinPeel(peeler, members, order, query.k, SIZE_MAX, &snapshots);
   ++stats->peel_operations;
   if (total_steps == 0) return;
 
   const std::size_t first_wanted =
       total_steps > want ? total_steps - want : 0;
-  MinPeelDriver replayer(g, members, query.k);
-  replayer.Run([&](std::size_t step, VertexId u,
-                   const std::vector<std::uint8_t>& alive) {
-    if (step < first_wanted) return;
-    Community c = MakeCommunity(g, AliveComponent(g, u, alive),
-                                query.aggregation);
-    ++stats->candidates_generated;
-    out->push_back(std::move(c));
-  });
+  MinPeel(peeler, members, order, query.k, first_wanted, &snapshots);
   ++stats->peel_operations;
+  for (VertexList& component : snapshots) {
+    out->push_back(MakeCommunity(g, std::move(component), query.aggregation));
+    ++stats->candidates_generated;
+  }
 }
 
 }  // namespace
@@ -143,9 +72,10 @@ SearchResult MinPeelSearch(const Graph& g, const Query& query,
   SearchResult result;
 
   VertexList core = IndexedMaximalKCore(core_index, g, query.k);
+  SubsetPeeler peeler(g);
   if (!query.non_overlapping) {
     std::vector<Community> found;
-    MinTopRWithin(g, core, query, query.r, &found, &result.stats);
+    MinTopRWithin(g, &peeler, core, query, query.r, &found, &result.stats);
     std::sort(found.begin(), found.end(),
               [](const Community& a, const Community& b) {
                 return TopRList<int>::Better(a.influence, a.hash, b.influence,
@@ -155,11 +85,10 @@ SearchResult MinPeelSearch(const Graph& g, const Query& query,
     result.communities = std::move(found);
   } else {
     // Greedy TONIC: top-1, remove its vertices, re-peel, repeat.
-    SubsetPeeler peeler(g);
     for (std::uint32_t round = 0; round < query.r && !core.empty();
          ++round) {
       std::vector<Community> best;
-      MinTopRWithin(g, core, query, 1, &best, &result.stats);
+      MinTopRWithin(g, &peeler, core, query, 1, &best, &result.stats);
       if (best.empty()) break;
       Community chosen = std::move(best.front());
       VertexList remaining;
@@ -188,22 +117,7 @@ SearchResult MaxComponentsSearch(const Graph& g, const Query& query,
                  "MaxComponentsSearch is the f = max solver");
   TICL_CHECK_MSG(!query.size_constrained(),
                  "size-constrained max is NP-hard; use LocalSearch");
-  WallTimer timer;
-  SearchResult result;
-  TopRList<Community> top(query.r);
-  for (VertexList& component :
-       IndexedKCoreComponents(core_index, g, query.k)) {
-    Community c = MakeCommunity(g, std::move(component), query.aggregation);
-    ++result.stats.candidates_generated;
-    const double influence = c.influence;
-    const std::uint64_t hash = c.hash;
-    top.Insert(influence, hash, std::move(c));
-  }
-  for (auto& entry : top.TakeSortedDescending()) {
-    result.communities.push_back(std::move(entry.value));
-  }
-  result.stats.elapsed_seconds = timer.ElapsedSeconds();
-  return result;
+  return TopRCoreComponents(g, query, core_index);
 }
 
 }  // namespace ticl

@@ -1,9 +1,7 @@
 #include "core/naive_search.h"
 
 #include <algorithm>
-#include <unordered_set>
 
-#include "algo/core_decomposition.h"
 #include "algo/kcore_peeler.h"
 #include "core/verification.h"
 #include "serve/core_index.h"
@@ -13,20 +11,15 @@
 
 namespace ticl {
 
-namespace {
-
-/// Shared by naive and improved search: the disjoint connected components of
-/// the maximal k-core are themselves maximal communities and dominate all of
-/// their subgraphs under monotone f, so for TONIC they are the answer.
-SearchResult TopRComponents(const Graph& g, const Query& query,
-                            const CoreIndex* core_index) {
+SearchResult TopRCoreComponents(const Graph& g, const Query& query,
+                                const CoreIndex* core_index) {
   WallTimer timer;
   SearchResult result;
+  SubsetPeeler peeler(g);
   TopRList<Community> top(query.r);
   for (VertexList& component :
-       IndexedKCoreComponents(core_index, g, query.k)) {
-    Community c =
-        MakeCommunity(g, std::move(component), query.aggregation);
+       peeler.Split(IndexedMaximalKCore(core_index, g, query.k))) {
+    Community c = MakeCommunity(g, std::move(component), query.aggregation);
     ++result.stats.candidates_generated;
     const double influence = c.influence;
     const std::uint64_t hash = c.hash;
@@ -39,8 +32,6 @@ SearchResult TopRComponents(const Graph& g, const Query& query,
   return result;
 }
 
-}  // namespace
-
 SearchResult NaiveSearch(const Graph& g, const Query& query,
                          const CoreIndex* core_index) {
   TICL_CHECK_MSG(ValidateQuery(query, g).empty(), "invalid query");
@@ -48,21 +39,21 @@ SearchResult NaiveSearch(const Graph& g, const Query& query,
                  "NaiveSearch solves the size-unconstrained problem only");
   TICL_CHECK_MSG(IsMonotoneUnderRemoval(query.aggregation),
                  "NaiveSearch requires a monotone aggregation (sum family)");
-  if (query.non_overlapping) return TopRComponents(g, query, core_index);
+  if (query.non_overlapping) {
+    return TopRCoreComponents(g, query, core_index);
+  }
 
   WallTimer timer;
   SearchResult result;
   SubsetPeeler peeler(g);
-  std::unordered_set<std::uint64_t> seen;
 
   // Lines 1-2: L <- top-r components of the maximal k-core.
   TopRList<Community> top(query.r);
   for (VertexList& component :
-       IndexedKCoreComponents(core_index, g, query.k)) {
+       peeler.Split(IndexedMaximalKCore(core_index, g, query.k))) {
     Community c =
         MakeCommunity(g, std::move(component), query.aggregation);
     ++result.stats.candidates_generated;
-    seen.insert(c.hash);
     const double influence = c.influence;
     const std::uint64_t hash = c.hash;
     top.Insert(influence, hash, std::move(c));
@@ -80,17 +71,16 @@ SearchResult NaiveSearch(const Graph& g, const Query& query,
       ++result.stats.peel_operations;
       for (VertexList& child :
            peeler.RemoveAndSplit(members, vi, query.k)) {
-        Community c =
-            MakeCommunity(g, std::move(child), query.aggregation);
-        if (!seen.insert(c.hash).second) {
-          ++result.stats.duplicates_skipped;
-          continue;
-        }
-        ++result.stats.candidates_generated;
-        batch.push_back(std::move(c));
+        batch.push_back(
+            MakeCommunity(g, std::move(child), query.aggregation));
       }
     }
     for (Community& c : batch) {
+      if (Retains(top, c)) {
+        ++result.stats.duplicates_skipped;
+        continue;
+      }
+      ++result.stats.candidates_generated;
       const double influence = c.influence;
       const std::uint64_t hash = c.hash;
       if (!top.Insert(influence, hash, std::move(c))) {

@@ -27,6 +27,14 @@ class CoreIndex;  // serve/core_index.h
 SearchResult NaiveSearch(const Graph& g, const Query& query,
                          const CoreIndex* core_index = nullptr);
 
+/// Lines 1-2 of Algorithms 1 and 2 on their own: the connected components
+/// of the maximal k-core, ranked, top r. Components are maximal and
+/// disjoint, so they are the whole answer for TONIC under a monotone f
+/// (naive and improved search) and for f = max (MaxComponentsSearch).
+/// Checks nothing about the query; callers do.
+SearchResult TopRCoreComponents(const Graph& g, const Query& query,
+                                const CoreIndex* core_index);
+
 }  // namespace ticl
 
 #endif  // TICL_CORE_NAIVE_SEARCH_H_

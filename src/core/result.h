@@ -16,11 +16,14 @@ struct SearchStats {
   double elapsed_seconds = 0.0;
   /// Candidate communities materialized (after dedup).
   std::uint64_t candidates_generated = 0;
-  /// Candidates rejected by the f(L_r) / lower-bound pruning rules.
+  /// Candidates rejected by the f(L_r) / lower-bound pruning rules. A
+  /// repeat of a candidate that is no longer retained lands here too: it
+  /// ranks below the r-th entry, so it is rejected again.
   std::uint64_t candidates_pruned = 0;
   /// Cascade peel invocations (the RemoveAndSplit inner step).
   std::uint64_t peel_operations = 0;
-  /// Duplicate candidates skipped by vertex-set-hash dedup.
+  /// Candidates whose member set is already retained (hashes matched, then
+  /// members compared); only the at most r retained entries are searched.
   std::uint64_t duplicates_skipped = 0;
   /// Local search only: seeds expanded.
   std::uint64_t seeds_processed = 0;
@@ -33,10 +36,6 @@ struct SearchResult {
   /// the graph does not contain r qualifying communities.
   std::vector<Community> communities;
   SearchStats stats;
-
-  /// Influence of the i-th (0-based) community, or -inf past the end —
-  /// convenient for "r-th influence value" effectiveness plots.
-  double InfluenceAt(std::size_t i) const;
 };
 
 }  // namespace ticl

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <cstring>
 
-#include "algo/connectivity.h"
 #include "algo/core_decomposition.h"
 #include "util/check.h"
 
@@ -57,12 +56,6 @@ VertexList CoreIndex::CoreMembers(VertexId k) const {
   TICL_CHECK_MSG(k >= 1, "CoreIndex answers k >= 1");
   if (k > degeneracy_) return {};
   return VerticesWithCoreAtLeast(core_, k);
-}
-
-std::vector<VertexList> CoreIndex::CoreComponents(VertexId k) const {
-  const VertexList members = CoreMembers(k);
-  if (members.empty()) return {};
-  return ComponentsOfSubset(*g_, members);
 }
 
 std::size_t CoreIndex::SerializedSize() const {
@@ -143,14 +136,6 @@ VertexList IndexedMaximalKCore(const CoreIndex* index, const Graph& g,
   TICL_CHECK_MSG(index->fingerprint() == g.fingerprint(),
                  "CoreIndex was built for a different graph");
   return index->CoreMembers(k);
-}
-
-std::vector<VertexList> IndexedKCoreComponents(const CoreIndex* index,
-                                               const Graph& g, VertexId k) {
-  if (index == nullptr) return KCoreComponents(g, k);
-  TICL_CHECK_MSG(index->fingerprint() == g.fingerprint(),
-                 "CoreIndex was built for a different graph");
-  return index->CoreComponents(k);
 }
 
 }  // namespace ticl

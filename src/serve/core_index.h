@@ -1,11 +1,11 @@
 // Precomputed core-decomposition index.
 //
-// Every solver in src/core/ begins by materializing the maximal k-core (or
-// its connected components) of the query's k — and the library primitives
-// MaximalKCore / KCoreComponents re-run the full O(n + m) bucket peel each
-// call. That is the right trade for one-shot use; under the serve workload
-// (thousands of queries with varying k over one immutable graph) it is
-// pure repeated work. CoreIndex runs the decomposition once and keeps the
+// Every solver in src/core/ begins by materializing the maximal k-core of
+// the query's k (and splits it with SubsetPeeler when it needs the
+// components) — and the library primitive MaximalKCore re-runs the full
+// O(n + m) bucket peel each call. That is the right trade for one-shot
+// use; under the serve workload (thousands of queries with varying k over
+// one immutable graph) it is pure repeated work. CoreIndex runs the decomposition once and keeps the
 // core numbers. They answer every seeding call on their own: the maximal
 // k-core is exactly {v : core(v) >= k}, which one branchless O(n) scan
 // over the array returns already sorted, without touching the adjacency.
@@ -18,7 +18,7 @@
 //
 // The index is immutable after construction and safe to share across
 // threads. It is only meaningful for a Graph with the exact fingerprint it
-// was built from; the Indexed* helpers and Solve() TICL_CHECK that.
+// was built from; IndexedMaximalKCore and Solve() TICL_CHECK that.
 
 #ifndef TICL_SERVE_CORE_INDEX_H_
 #define TICL_SERVE_CORE_INDEX_H_
@@ -69,12 +69,6 @@ class CoreIndex {
   /// instead of an O(n + m) peel.
   VertexList CoreMembers(VertexId k) const;
 
-  /// Connected components of the maximal k-core, each sorted ascending.
-  /// Identical to KCoreComponents(graph(), k); the BFS split runs on the
-  /// member list, so its cost is proportional to the k-core, not the
-  /// graph.
-  std::vector<VertexList> CoreComponents(VertexId k) const;
-
   // -- Serialization (snapshot v2 `core_index` section payload) ------------
   //
   // Little-endian, 8-byte-aligned base required:
@@ -120,13 +114,11 @@ class CoreIndex {
   std::span<const VertexId> core_;
 };
 
-/// Seeding helpers used by the solvers: consult the index when one is
-/// supplied (checking its fingerprint matches `g`), else fall back to the
+/// The solvers' seeding helper: consults the index when one is supplied
+/// (checking its fingerprint matches `g`), else falls back to the
 /// from-scratch peel.
 VertexList IndexedMaximalKCore(const CoreIndex* index, const Graph& g,
                                VertexId k);
-std::vector<VertexList> IndexedKCoreComponents(const CoreIndex* index,
-                                               const Graph& g, VertexId k);
 
 }  // namespace ticl
 

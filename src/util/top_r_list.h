@@ -55,13 +55,6 @@ class TopRList {
     return true;
   }
 
-  /// True if an item with this (score, tie_break) would enter the list.
-  bool WouldInsert(double score, std::uint64_t tie_break) const {
-    if (entries_.size() < capacity_) return true;
-    const Entry& worst = entries_.front();
-    return Better(score, tie_break, worst.score, worst.tie_break);
-  }
-
   /// Score of the current r-th (worst retained) entry, or -inf while the
   /// list holds fewer than r items. This is the pruning threshold f(L_r).
   double Threshold() const {

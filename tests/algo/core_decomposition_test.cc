@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "algo/kcore_peeler.h"
 #include "gen/chung_lu.h"
 #include "gen/erdos_renyi.h"
 #include "testing/builders.h"
@@ -101,11 +102,12 @@ TEST(MaximalKCoreTest, KCorePropertyHolds) {
 
 TEST(KCoreComponentsTest, FixtureSplit) {
   const Graph g = TwoTrianglesAndK4();
-  const auto components2 = KCoreComponents(g, 2);
+  SubsetPeeler peeler(g);
+  const auto components2 = peeler.Split(MaximalKCore(g, 2));
   ASSERT_EQ(components2.size(), 2u);
   EXPECT_EQ(components2[0], Members({0, 1, 2, 3, 4, 5}));
   EXPECT_EQ(components2[1], Members({6, 7, 8, 9}));
-  const auto components3 = KCoreComponents(g, 3);
+  const auto components3 = peeler.Split(MaximalKCore(g, 3));
   ASSERT_EQ(components3.size(), 1u);
   EXPECT_EQ(components3[0], Members({6, 7, 8, 9}));
 }

@@ -13,6 +13,7 @@
 namespace ticl {
 namespace {
 
+using testing::AllVertices;
 using testing::Members;
 using testing::TwoTrianglesAndK4;
 
@@ -32,8 +33,7 @@ VertexList ReferencePeel(const Graph& g, const VertexList& members,
 TEST(SubsetPeelerTest, WholeGraphPeel) {
   const Graph g = TwoTrianglesAndK4();
   SubsetPeeler peeler(g);
-  VertexList all;
-  for (VertexId v = 0; v < 10; ++v) all.push_back(v);
+  const VertexList all = AllVertices(g);
   EXPECT_EQ(peeler.Peel(all, 2).size(), 10u);
   EXPECT_EQ(peeler.Peel(all, 3), Members({6, 7, 8, 9}));
   EXPECT_TRUE(peeler.Peel(all, 4).empty());
@@ -46,8 +46,7 @@ TEST(SubsetPeelerTest, CascadeThroughBridge) {
   const auto components =
       peeler.RemoveAndSplit(Members({0, 1, 2, 3, 4, 5}), 0, 2);
   ASSERT_EQ(components.size(), 1u);
-  EXPECT_EQ(components[0], Members({3, 4, 5}));
-  EXPECT_EQ(peeler.last_cascade_size(), 2u);  // vertices 1 and 2
+  EXPECT_EQ(components[0], Members({3, 4, 5}));  // 1 and 2 cascaded
 }
 
 TEST(SubsetPeelerTest, RemoveBridgeEndpointSplits) {
@@ -66,16 +65,14 @@ TEST(SubsetPeelerTest, RemoveFromK4LeavesTriangle) {
   const auto components =
       peeler.RemoveAndSplit(Members({6, 7, 8, 9}), 9, 2);
   ASSERT_EQ(components.size(), 1u);
-  EXPECT_EQ(components[0], Members({6, 7, 8}));
-  EXPECT_EQ(peeler.last_cascade_size(), 0u);
+  EXPECT_EQ(components[0], Members({6, 7, 8}));  // nothing cascaded
 }
 
-TEST(SubsetPeelerTest, PeelAndSplitSeparatesComponents) {
+TEST(SubsetPeelerTest, PeelThenSplitSeparatesComponents) {
   const Graph g = TwoTrianglesAndK4();
   SubsetPeeler peeler(g);
-  VertexList all;
-  for (VertexId v = 0; v < 10; ++v) all.push_back(v);
-  const auto components = peeler.PeelAndSplit(all, 2);
+  const VertexList all = AllVertices(g);
+  const auto components = peeler.Split(peeler.Peel(all, 2));
   ASSERT_EQ(components.size(), 2u);
   EXPECT_EQ(components[0].size(), 6u);
   EXPECT_EQ(components[1].size(), 4u);
@@ -85,13 +82,44 @@ TEST(SubsetPeelerTest, EmptySubset) {
   const Graph g = TwoTrianglesAndK4();
   SubsetPeeler peeler(g);
   EXPECT_TRUE(peeler.Peel({}, 2).empty());
-  EXPECT_TRUE(peeler.PeelAndSplit({}, 2).empty());
+  EXPECT_TRUE(peeler.Split({}).empty());
+  EXPECT_TRUE(peeler.IsConnectedKCore({}, 2));
 }
 
 TEST(SubsetPeelerTest, SubsetBelowKAllPeeled) {
   const Graph g = TwoTrianglesAndK4();
   SubsetPeeler peeler(g);
   EXPECT_TRUE(peeler.Peel(Members({0, 1}), 2).empty());
+}
+
+TEST(SubsetPeelerTest, IsConnectedKCoreCases) {
+  const Graph g = TwoTrianglesAndK4();
+  SubsetPeeler peeler(g);
+  EXPECT_TRUE(peeler.IsConnectedKCore(Members({0, 1, 2}), 2));
+  EXPECT_TRUE(peeler.IsConnectedKCore(Members({9, 6, 8, 7}), 3));  // unsorted
+  EXPECT_FALSE(peeler.IsConnectedKCore(Members({6, 7, 8, 9}), 4));
+  EXPECT_TRUE(peeler.IsConnectedKCore(Members({0, 1, 2, 3, 4, 5}), 2));
+  // Degrees suffice but the set is disconnected: two triangles, two edges.
+  EXPECT_FALSE(peeler.IsConnectedKCore(Members({0, 1, 2, 6, 7, 8}), 2));
+  EXPECT_FALSE(peeler.IsConnectedKCore(Members({0, 1, 4, 5}), 1));
+  EXPECT_FALSE(peeler.IsConnectedKCore(Members({0, 1, 3}), 1));  // 3 isolated
+}
+
+TEST(SubsetPeelerTest, LoadDeleteAndComponentOf) {
+  const Graph g = TwoTrianglesAndK4();
+  SubsetPeeler peeler(g);
+  const VertexList all = AllVertices(g);
+  peeler.Load(all, 2);
+  EXPECT_EQ(peeler.ComponentOf(4), Members({0, 1, 2, 3, 4, 5}));
+  EXPECT_EQ(peeler.ComponentOf(9), Members({6, 7, 8, 9}));
+  peeler.Delete(3, 2);  // triangle B unravels
+  EXPECT_FALSE(peeler.Contains(4));
+  EXPECT_EQ(peeler.ComponentOf(0), Members({0, 1, 2}));
+  peeler.Delete(3, 2);  // already gone: a no-op
+  EXPECT_EQ(peeler.ComponentOf(2), Members({0, 1, 2}));
+  peeler.Load(Members({0, 1, 2, 3}), 2);  // 3 is peeled on load
+  EXPECT_FALSE(peeler.Contains(3));
+  EXPECT_EQ(peeler.ComponentOf(1), Members({0, 1, 2}));
 }
 
 TEST(SubsetPeelerTest, ReusableAcrossEpochs) {
@@ -136,17 +164,33 @@ TEST_P(PeelerPropertyTest, RemoveAndSplitMatchesPeelOfReducedSet) {
     for (const VertexId v : core) {
       if (v != removed) reduced.push_back(v);
     }
-    // Survivor union of RemoveAndSplit == Peel of the reduced set, and the
-    // split must match ComponentsOfSubset of those survivors.
+    // Independent oracle for the split: the parts' union is the
+    // reference peel of the reduced set, every part is sorted and
+    // connected (IsSubsetConnected), no edge joins two parts, and parts
+    // come in order of their first member.
     const auto components = peeler.RemoveAndSplit(core, removed, 3);
+    std::vector<int> part(g.num_vertices(), -1);
     VertexList survivors;
-    for (const auto& comp : components) {
+    for (std::size_t i = 0; i < components.size(); ++i) {
+      const VertexList& comp = components[i];
+      ASSERT_FALSE(comp.empty());
+      EXPECT_TRUE(std::is_sorted(comp.begin(), comp.end()));
+      EXPECT_TRUE(IsSubsetConnected(g, comp));
+      if (i > 0) {
+        EXPECT_LT(components[i - 1].front(), comp.front());
+      }
+      for (const VertexId v : comp) part[v] = static_cast<int>(i);
       survivors.insert(survivors.end(), comp.begin(), comp.end());
     }
     std::sort(survivors.begin(), survivors.end());
     EXPECT_EQ(survivors, ReferencePeel(g, reduced, 3));
-    EXPECT_EQ(components.size(),
-              ComponentsOfSubset(g, survivors).size());
+    for (const VertexId v : survivors) {
+      for (const VertexId nbr : g.neighbors(v)) {
+        if (part[nbr] >= 0) {
+          EXPECT_EQ(part[nbr], part[v]) << v << "-" << nbr;
+        }
+      }
+    }
   }
 }
 

@@ -37,6 +37,26 @@ TEST(CommunityTest, SameSetDifferentOrderSameHash) {
   EXPECT_EQ(a.hash, b.hash);
 }
 
+TEST(CommunityTest, HashCollisionKeepsBothCommunities) {
+  // Two different member sets forced onto one hash: dedup must compare
+  // members, so neither is mistaken for a repeat of the other.
+  const Graph g = TwoTrianglesAndK4();
+  Community a = MakeCommunity(g, Members({0, 1, 2}), AggregationSpec::Sum());
+  Community b = MakeCommunity(g, Members({6, 7, 8}), AggregationSpec::Sum());
+  b.hash = a.hash;
+  EXPECT_FALSE(SameMembers(a, b));
+  EXPECT_TRUE(SameMembers(a, a));
+
+  TopRList<Community> top(3);
+  ASSERT_FALSE(Retains(top, a));
+  top.Insert(a.influence, a.hash, a);
+  EXPECT_TRUE(Retains(top, a));  // a true repeat is caught
+  ASSERT_FALSE(Retains(top, b));
+  top.Insert(b.influence, b.hash, b);
+  ASSERT_EQ(top.size(), 2u);
+  EXPECT_TRUE(Retains(top, b));
+}
+
 TEST(CommunityTest, OverlapDetection) {
   const Graph g = TwoTrianglesAndK4();
   const auto spec = AggregationSpec::Sum();

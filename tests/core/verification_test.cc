@@ -1,7 +1,6 @@
 #include "core/verification.h"
 
 #include <initializer_list>
-#include <limits>
 
 #include <gtest/gtest.h>
 
@@ -147,12 +146,6 @@ TEST_F(ValidateResultTest, SizeLimitPropagates) {
   SearchResult result;
   result.communities.push_back(Make({6, 7, 8, 9}));
   EXPECT_NE(ValidateResult(g_, query_, result), "");
-}
-
-TEST(SearchResultTest, InfluenceAtPastEndIsNegInf) {
-  SearchResult result;
-  EXPECT_EQ(result.InfluenceAt(0),
-            -std::numeric_limits<double>::infinity());
 }
 
 }  // namespace

@@ -66,7 +66,7 @@ TEST(BarabasiAlbertTest, SizesAndMinDegree) {
 
 TEST(BarabasiAlbertTest, Connected) {
   const Graph g = GenerateBarabasiAlbert(300, 2, 5);
-  EXPECT_EQ(ConnectedComponents(g).num_components, 1u);
+  EXPECT_TRUE(IsSubsetConnected(g, testing::AllVertices(g)));
 }
 
 TEST(BarabasiAlbertTest, Deterministic) {

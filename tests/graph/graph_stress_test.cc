@@ -6,8 +6,9 @@
 
 #include <gtest/gtest.h>
 
-#include "algo/connectivity.h"
+#include "algo/kcore_peeler.h"
 #include "graph/graph_builder.h"
+#include "testing/builders.h"
 #include "util/rng.h"
 
 namespace ticl {
@@ -89,15 +90,20 @@ TEST_P(GraphStressTest, ComponentsMatchMatrixFloodFill) {
     }
   }
 
-  const ComponentLabels labels = ConnectedComponents(g);
-  EXPECT_EQ(labels.num_components, reference_count);
-  for (VertexId u = 0; u < n; ++u) {
-    for (VertexId v = 0; v < n; ++v) {
-      EXPECT_EQ(labels.label[u] == labels.label[v],
-                reference[u] == reference[v])
-          << u << " vs " << v;
+  // Both number components in order of their smallest vertex, so the
+  // split of the whole vertex set must reproduce the labels exactly.
+  SubsetPeeler peeler(g);
+  const std::vector<VertexList> components =
+      peeler.Split(testing::AllVertices(g));
+  ASSERT_EQ(components.size(), reference_count);
+  std::size_t covered = 0;
+  for (VertexId id = 0; id < reference_count; ++id) {
+    for (const VertexId v : components[id]) {
+      EXPECT_EQ(reference[v], id) << "vertex " << v;
     }
+    covered += components[id].size();
   }
+  EXPECT_EQ(covered, n);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, GraphStressTest,

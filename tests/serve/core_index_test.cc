@@ -39,7 +39,6 @@ TEST(CoreIndexTest, MatchesFromScratchPrimitives) {
     // One past the degeneracy exercises the empty-core path.
     for (VertexId k = 1; k <= index.degeneracy() + 1; ++k) {
       EXPECT_EQ(index.CoreMembers(k), MaximalKCore(g, k)) << "k=" << k;
-      EXPECT_EQ(index.CoreComponents(k), KCoreComponents(g, k)) << "k=" << k;
     }
   }
 }
@@ -52,16 +51,13 @@ TEST(CoreIndexTest, CoreNumbersMatchDecomposition) {
   EXPECT_EQ(index.degeneracy(), 3u);  // the K4
   EXPECT_EQ(index.CoreMembers(3), testing::Members({6, 7, 8, 9}));
   EXPECT_TRUE(index.CoreMembers(4).empty());
-  EXPECT_TRUE(index.CoreComponents(4).empty());
 }
 
 TEST(CoreIndexTest, IndexedHelpersFallBackWithoutIndex) {
   const Graph g = TwoTrianglesAndK4();
   EXPECT_EQ(IndexedMaximalKCore(nullptr, g, 2), MaximalKCore(g, 2));
-  EXPECT_EQ(IndexedKCoreComponents(nullptr, g, 2), KCoreComponents(g, 2));
   const CoreIndex index(g);
   EXPECT_EQ(IndexedMaximalKCore(&index, g, 2), MaximalKCore(g, 2));
-  EXPECT_EQ(IndexedKCoreComponents(&index, g, 2), KCoreComponents(g, 2));
 }
 
 TEST(CoreIndexTest, FingerprintAcceptedAcrossGraphCopies) {
@@ -69,8 +65,6 @@ TEST(CoreIndexTest, FingerprintAcceptedAcrossGraphCopies) {
   const Graph copy = g;  // same fingerprint, different object
   const CoreIndex index(g);
   EXPECT_EQ(IndexedMaximalKCore(&index, copy, 2), MaximalKCore(copy, 2));
-  EXPECT_EQ(IndexedKCoreComponents(&index, copy, 2),
-            KCoreComponents(copy, 2));
 }
 
 TEST(CoreIndexDeathTest, MismatchedIndexRejectedBySolve) {
@@ -91,7 +85,6 @@ TEST(CoreIndexDeathTest, MismatchedIndexRejectedByHelpers) {
   const Graph b = testing::CycleGraph(8);
   const CoreIndex index(a);
   EXPECT_DEATH(IndexedMaximalKCore(&index, b, 2), "different graph");
-  EXPECT_DEATH(IndexedKCoreComponents(&index, b, 2), "different graph");
 }
 
 TEST(CoreIndexTest, SerializationRoundTripCopyAndView) {
@@ -115,8 +108,6 @@ TEST(CoreIndexTest, SerializationRoundTripCopyAndView) {
               ToVector(index.core_numbers()));
     for (VertexId k = 1; k <= index.degeneracy() + 1; ++k) {
       EXPECT_EQ(restored->CoreMembers(k), index.CoreMembers(k)) << "k=" << k;
-      EXPECT_EQ(restored->CoreComponents(k), index.CoreComponents(k))
-          << "k=" << k;
     }
   }
 }

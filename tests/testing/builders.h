@@ -59,6 +59,13 @@ inline VertexList Members(std::initializer_list<VertexId> ids) {
   return VertexList(ids);
 }
 
+/// 0, 1, ..., n - 1: the whole vertex set as a sorted member list.
+inline VertexList AllVertices(const Graph& g) {
+  VertexList all(g.num_vertices());
+  for (VertexId v = 0; v < g.num_vertices(); ++v) all[v] = v;
+  return all;
+}
+
 // The canonical 10-vertex instance. Structure:
 //   triangle A = {0, 1, 2}, weights 10 / 20 / 30
 //   triangle B = {3, 4, 5}, weights  5 /  6 /  7

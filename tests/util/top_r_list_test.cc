@@ -75,17 +75,6 @@ TEST(TopRListTest, EqualScoreEqualTieRejectedWhenFull) {
   EXPECT_FALSE(list.Insert(10.0, 7, 2));
 }
 
-TEST(TopRListTest, WouldInsertMatchesInsert) {
-  TopRList<int> list(2);
-  EXPECT_TRUE(list.WouldInsert(1.0, 0));
-  list.Insert(10.0, 1, 0);
-  list.Insert(20.0, 2, 0);
-  EXPECT_FALSE(list.WouldInsert(9.0, 3));
-  EXPECT_TRUE(list.WouldInsert(11.0, 3));
-  EXPECT_TRUE(list.WouldInsert(10.0, 0));   // wins tie-break vs key 1
-  EXPECT_FALSE(list.WouldInsert(10.0, 5));  // loses tie-break vs key 1
-}
-
 TEST(TopRListTest, SortedDescendingOrder) {
   TopRList<int> list(5);
   const double scores[] = {3.0, 1.0, 4.0, 1.5, 9.0};
