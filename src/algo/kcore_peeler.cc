@@ -1,6 +1,7 @@
 #include "algo/kcore_peeler.h"
 
 #include <algorithm>
+#include <numeric>
 
 #include "util/check.h"
 
@@ -73,18 +74,96 @@ VertexList SubsetPeeler::ComponentOf(VertexId u) {
   return component;
 }
 
-std::vector<VertexList> SubsetPeeler::SplitWorkingSet(
+std::vector<VertexList> SubsetPeeler::SplitAroundCascade(
     std::span<const VertexId> members) {
-  // Label each component with its BFS stamp, then deal the members out in
-  // their own (ascending) order, so every component comes out sorted.
-  const std::uint64_t base = visit_;
-  std::vector<VertexList> components;
-  for (const VertexId start : members) {
-    if (!Contains(start) || visited_[start] > base) continue;
-    components.emplace_back().reserve(MarkComponent(start));
-  }
+  // Every component of the survivors touches a removed vertex, because
+  // `members` is connected. So one BFS from each surviving neighbour of a
+  // removed vertex finds them all. The searches share one FIFO queue, so
+  // they advance level by level together; two that meet merge (union-find
+  // over search ids). A merged group with no vertex left to scan has
+  // exhausted its component. Once at most one group is still open, every
+  // survivor outside the exhausted groups is in that group's component, so
+  // the search stops there.
+  const std::uint64_t base = visit_;  // search i stamps base + 1 + i
+  queue_.clear();
+  std::size_t survivors = 0;
   for (const VertexId v : members) {
-    if (Contains(v)) components[visited_[v] - base - 1].push_back(v);
+    if (Contains(v)) {
+      ++survivors;
+      continue;
+    }
+    for (const VertexId nbr : g_->neighbors(v)) {
+      if (!Contains(nbr) || visited_[nbr] > base) continue;
+      visited_[nbr] = base + 1 + queue_.size();
+      queue_.push_back(nbr);
+    }
+  }
+  const std::size_t searches = queue_.size();
+  visit_ = base + searches;
+  TICL_DCHECK(survivors == 0 || searches > 0);
+
+  // Per root: `pending` counts its queued vertices not yet scanned (0 once
+  // exhausted), `size` every vertex it has reached.
+  std::vector<std::size_t> group(searches);
+  std::vector<std::size_t> pending(searches, 1);
+  std::vector<std::size_t> size(searches, 1);
+  std::iota(group.begin(), group.end(), std::size_t{0});
+  const auto find = [&group](std::size_t i) {
+    while (group[i] != i) i = group[i] = group[group[i]];
+    return i;
+  };
+  std::size_t open = searches;
+  for (std::size_t head = 0; open > 1; ++head) {
+    const VertexId u = queue_[head];
+    const std::size_t mine = find(visited_[u] - base - 1);
+    for (const VertexId nbr : g_->neighbors(u)) {
+      if (!Contains(nbr)) continue;
+      if (visited_[nbr] <= base) {
+        visited_[nbr] = base + 1 + mine;
+        queue_.push_back(nbr);
+        ++pending[mine];
+        ++size[mine];
+        continue;
+      }
+      const std::size_t theirs = find(visited_[nbr] - base - 1);
+      if (theirs == mine) continue;
+      // An exhausted group has no unscanned neighbour, so it never meets
+      // another search.
+      TICL_DCHECK(pending[theirs] > 0);
+      group[theirs] = mine;
+      pending[mine] += pending[theirs];
+      size[mine] += size[theirs];
+      --open;
+    }
+    if (--pending[mine] == 0) --open;
+  }
+
+  // Deal the members out in their own (ascending) order, so every
+  // component comes out sorted and in order of its first member.
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::size_t rest = survivors;  // survivors outside exhausted groups
+  for (std::size_t i = 0; i < searches; ++i) {
+    if (group[i] == i && pending[i] == 0) rest -= size[i];
+  }
+  std::vector<std::size_t> slot(searches, kNone);  // root -> component
+  std::size_t open_slot = kNone;
+  std::vector<VertexList> components;
+  for (const VertexId v : members) {
+    if (!Contains(v)) continue;
+    std::size_t* where = &open_slot;
+    std::size_t reserve = rest;
+    if (visited_[v] > base) {
+      const std::size_t root = find(visited_[v] - base - 1);
+      if (pending[root] == 0) {
+        where = &slot[root];
+        reserve = size[root];
+      }
+    }
+    if (*where == kNone) {
+      *where = components.size();
+      components.emplace_back().reserve(reserve);
+    }
+    components[*where].push_back(v);
   }
   return components;
 }
@@ -101,7 +180,18 @@ VertexList SubsetPeeler::Peel(const VertexList& members, VertexId k) {
 std::vector<VertexList> SubsetPeeler::Split(
     std::span<const VertexId> members) {
   Stamp(members);
-  return SplitWorkingSet(members);
+  // Label each component with its BFS stamp, then deal the members out in
+  // their own (ascending) order, so every component comes out sorted.
+  const std::uint64_t base = visit_;
+  std::vector<VertexList> components;
+  for (const VertexId start : members) {
+    if (visited_[start] > base) continue;
+    components.emplace_back().reserve(MarkComponent(start));
+  }
+  for (const VertexId v : members) {
+    components[visited_[v] - base - 1].push_back(v);
+  }
+  return components;
 }
 
 std::vector<VertexList> SubsetPeeler::RemoveAndSplit(
@@ -110,7 +200,7 @@ std::vector<VertexList> SubsetPeeler::RemoveAndSplit(
               members.end());
   Load(members, k);
   Delete(removed, k);
-  return SplitWorkingSet(members);
+  return SplitAroundCascade(members);
 }
 
 bool SubsetPeeler::IsConnectedKCore(std::span<const VertexId> members,

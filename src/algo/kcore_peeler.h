@@ -7,7 +7,9 @@
 // BFS neighbourhoods and tests prefixes for being connected k-cores. This
 // class owns the O(n) scratch arrays for all of it. Both the working-set
 // membership and the BFS visits are epoch-stamped, so each call resets in
-// O(1) and costs time linear in the subset plus its incident edges.
+// O(1) and costs time linear in the subset plus its incident edges, except
+// that RemoveAndSplit searches for the split only around the vertices the
+// cascade removed.
 //
 // A peeler is single-threaded scratch: parallel callers own one each.
 
@@ -38,6 +40,11 @@ class SubsetPeeler {
 
   /// The solvers' inner step: removes `removed` (present in `members`)
   /// from `members`, peels to the k-core and splits it as Split does.
+  /// `members` (sorted ascending, duplicate-free) must induce a *connected*
+  /// subgraph: every component of what survives then touches a vertex the
+  /// peel removed, so only the searches started next to the removed
+  /// vertices run, and they stop once at most one of them is still open
+  /// (see SplitAroundCascade).
   std::vector<VertexList> RemoveAndSplit(const VertexList& members,
                                          VertexId removed, VertexId k);
 
@@ -81,8 +88,10 @@ class SubsetPeeler {
   /// and leaves its vertices in queue_ (BFS order). Returns its size.
   std::size_t MarkComponent(VertexId start);
 
-  /// Components of the working-set vertices among `members`.
-  std::vector<VertexList> SplitWorkingSet(std::span<const VertexId> members);
+  /// Split for a working set that removals cut out of the connected
+  /// `members`: searches only around the removed vertices.
+  std::vector<VertexList> SplitAroundCascade(
+      std::span<const VertexId> members);
 
   const Graph* g_;
   // v is in the working set iff member_epoch_[v] == epoch_.

@@ -166,9 +166,15 @@ SearchResult ImprovedSearch(const Graph& g, const Query& query,
     ++result.stats.candidates_generated;
     pool.Insert(std::move(c), sequence++);
   }
+  // Heap order for the children: the top is the lightest vertex, ties to
+  // the lower id.
+  const auto heavier = [&g](VertexId a, VertexId b) {
+    return g.weight(a) != g.weight(b) ? g.weight(a) > g.weight(b) : a > b;
+  };
 
   // Expansion loop (Lines 7-19).
   VertexList parent_members;
+  VertexList children;
   for (;;) {
     const std::size_t pick = pool.NextUnexpanded(options.best_first);
     if (pick == CandidatePool::kNone) break;  // exact fixpoint reached
@@ -204,14 +210,23 @@ SearchResult ImprovedSearch(const Graph& g, const Query& query,
     result.stats.peak_frontier =
         std::max<std::uint64_t>(result.stats.peak_frontier, unexpanded + 1);
 
-    for (const VertexId v : parent_members) {
+    // Children in ascending removed weight, popped from a heap so that only
+    // the visited ones pay for ordering. The bound never rises along this
+    // order and the threshold never falls, so the first child that fails
+    // the Line 13 test ends the walk, and the rest count as pruned.
+    children = parent_members;
+    std::make_heap(children.begin(), children.end(), heavier);
+    while (!children.empty()) {
+      std::pop_heap(children.begin(), children.end(), heavier);
+      const VertexId v = children.back();
       // Line 13 pruning: O(1) bound before the O(n + m) peel.
       const double bound =
           ChildValueBound(query.aggregation, parent_value, g.weight(v));
       if (options.enable_bound_pruning && bound < pool.Threshold()) {
-        ++result.stats.candidates_pruned;
-        continue;
+        result.stats.candidates_pruned += children.size();
+        break;
       }
+      children.pop_back();
       ++result.stats.peel_operations;
       for (VertexList& child :
            peeler.RemoveAndSplit(parent_members, v, query.k)) {

@@ -17,6 +17,21 @@
 // With epsilon > 0 the loop stops as soon as L already holds r candidates
 // with value >= (1 - epsilon) * f(L_max): the exact r-th value re is at
 // most f(L_max), so every returned value meets the bound.
+//
+// Visiting order: an expansion tries its children lightest removed vertex
+// first (ties to the lower id), and stops at the first child whose bound
+// fails; the children not tried count as pruned. For epsilon = 0 the early
+// stop is exact. Along this order the bound f(L_max) - w(v) (minus alpha
+// under sum-surplus) never rises, and f(L_r) never falls, so every later
+// child would fail the test too. A child the test discards ranks below r
+// retained entries, and its descendants are no better. The final top-r
+// therefore does not depend on the visiting order, only the work does: the
+// best children come first, the threshold rises early, and with distinct
+// weights the number of peels no longer depends on the vertex ids. Two
+// consequences of the order: with epsilon > 0 the early stop reads the
+// pool's state, so approximate answers may differ from those of another
+// order (still within the guarantee); and the sequence numbers that drive
+// the FIFO ablation follow it.
 
 #ifndef TICL_CORE_IMPROVED_SEARCH_H_
 #define TICL_CORE_IMPROVED_SEARCH_H_

@@ -18,9 +18,14 @@ struct SearchStats {
   std::uint64_t candidates_generated = 0;
   /// Candidates rejected by the f(L_r) / lower-bound pruning rules. A
   /// repeat of a candidate that is no longer retained lands here too: it
-  /// ranks below the r-th entry, so it is rejected again.
+  /// ranks below the r-th entry, so it is rejected again. Improved search
+  /// stops an expansion at the first child whose bound fails and counts
+  /// that child and every child not yet tried.
   std::uint64_t candidates_pruned = 0;
-  /// Cascade peel invocations (the RemoveAndSplit inner step).
+  /// Cascade peel invocations (the RemoveAndSplit inner step). In improved
+  /// search, one per child that passed the bound; children are tried
+  /// lightest removed vertex first, so with distinct weights the count does
+  /// not depend on the vertex ids.
   std::uint64_t peel_operations = 0;
   /// Candidates whose member set is already retained (hashes matched, then
   /// members compared); only the at most r retained entries are searched.

@@ -1,10 +1,17 @@
 #include "core/improved_search.h"
 
+#include <algorithm>
+#include <numeric>
+
 #include <gtest/gtest.h>
 
+#include "algo/weights.h"
 #include "core/naive_search.h"
 #include "core/verification.h"
+#include "gen/chung_lu.h"
+#include "graph/graph_builder.h"
 #include "testing/builders.h"
+#include "util/rng.h"
 
 namespace ticl {
 namespace {
@@ -134,6 +141,68 @@ TEST(ImprovedSearchTest, SumSurplusMatchesNaive) {
   for (std::size_t i = 0; i < improved.communities.size(); ++i) {
     EXPECT_DOUBLE_EQ(improved.communities[i].influence,
                      naive.communities[i].influence);
+  }
+}
+
+/// `g` with vertex v renamed new_id[v], weights carried along.
+Graph Relabel(const Graph& g, const VertexList& new_id) {
+  GraphBuilder b;
+  b.SetNumVertices(g.num_vertices());
+  std::vector<Weight> weights(g.num_vertices());
+  for (VertexId u = 0; u < g.num_vertices(); ++u) {
+    weights[new_id[u]] = g.weight(u);
+    for (const VertexId v : g.neighbors(u)) {
+      if (u < v) b.AddEdge(new_id[u], new_id[v]);
+    }
+  }
+  Graph out = b.Build();
+  out.SetWeights(std::move(weights));
+  return out;
+}
+
+TEST(ImprovedSearchTest, WorkDoesNotDependOnVertexLabels) {
+  // Children are visited lightest first, so with distinct weights neither
+  // the answer nor the number of peels may depend on how vertices are
+  // numbered: as generated, hubs first, or shuffled.
+  ChungLuOptions options;
+  options.num_vertices = 2000;
+  options.target_average_degree = 8.0;
+  options.seed = 5;
+  Graph generated = GenerateChungLu(options);
+  AssignWeights(&generated, WeightScheme::kLogNormal, 5);
+  const VertexId n = generated.num_vertices();
+
+  VertexList by_degree(n);
+  std::iota(by_degree.begin(), by_degree.end(), VertexId{0});
+  std::stable_sort(by_degree.begin(), by_degree.end(),
+                   [&generated](VertexId a, VertexId b) {
+                     return generated.degree(a) > generated.degree(b);
+                   });
+  VertexList hub_first(n);  // old id -> new id
+  for (VertexId rank = 0; rank < n; ++rank) hub_first[by_degree[rank]] = rank;
+  VertexList shuffled(n);
+  std::iota(shuffled.begin(), shuffled.end(), VertexId{0});
+  Rng rng(5);
+  rng.Shuffle(shuffled.data(), shuffled.size());
+
+  const Query query = SumQuery(4, 10);
+  const SearchResult base = ImprovedSearch(generated, query);
+  ASSERT_EQ(base.communities.size(), 10u);
+  for (const VertexList& new_id : {hub_first, shuffled}) {
+    const Graph relabelled = Relabel(generated, new_id);
+    const SearchResult result = ImprovedSearch(relabelled, query);
+    EXPECT_EQ(result.stats.peel_operations, base.stats.peel_operations);
+    ASSERT_EQ(result.communities.size(), base.communities.size());
+    for (std::size_t i = 0; i < base.communities.size(); ++i) {
+      const Community& want = base.communities[i];
+      VertexList mapped;
+      for (const VertexId v : want.members) mapped.push_back(new_id[v]);
+      std::sort(mapped.begin(), mapped.end());
+      EXPECT_EQ(result.communities[i].members, mapped) << "rank " << i;
+      // Sums run in member order, which the relabelling changes.
+      EXPECT_NEAR(result.communities[i].influence, want.influence,
+                  1e-9 * want.influence);
+    }
   }
 }
 

@@ -352,9 +352,18 @@ void PrintText(const ticl::Query& query, const ticl::SearchResult& result) {
 }
 
 void PrintJson(const ticl::Query& query, const ticl::SearchResult& result) {
+  const ticl::SearchStats& stats = result.stats;
   std::printf("{\n  \"query\": \"%s\",\n  \"elapsed_seconds\": %.6f,\n",
-              ticl::QueryToString(query).c_str(),
-              result.stats.elapsed_seconds);
+              ticl::QueryToString(query).c_str(), stats.elapsed_seconds);
+  std::printf(
+      "  \"stats\": {\"peel_operations\": %llu, "
+      "\"candidates_generated\": %llu, \"candidates_pruned\": %llu, "
+      "\"duplicates_skipped\": %llu, \"peak_frontier\": %llu},\n",
+      static_cast<unsigned long long>(stats.peel_operations),
+      static_cast<unsigned long long>(stats.candidates_generated),
+      static_cast<unsigned long long>(stats.candidates_pruned),
+      static_cast<unsigned long long>(stats.duplicates_skipped),
+      static_cast<unsigned long long>(stats.peak_frontier));
   std::printf("  \"communities\": [\n");
   for (std::size_t i = 0; i < result.communities.size(); ++i) {
     const ticl::Community& c = result.communities[i];
