@@ -22,12 +22,13 @@ void SubsetPeeler::Stamp(std::span<const VertexId> members) {
   }
 }
 
-void SubsetPeeler::Cascade(VertexId k) {
+void SubsetPeeler::Cascade(VertexId k, VertexList* removed) {
   while (!queue_.empty()) {
     const VertexId v = queue_.back();
     queue_.pop_back();
     if (!Contains(v)) continue;
     member_epoch_[v] = 0;  // epochs start at 1, so 0 is never current
+    if (removed != nullptr) removed->push_back(v);
     for (const VertexId nbr : g_->neighbors(v)) {
       if (Contains(nbr) && --degree_[nbr] < k) queue_.push_back(nbr);
     }
@@ -46,9 +47,13 @@ void SubsetPeeler::Load(const VertexList& members, VertexId k) {
   Cascade(k);
 }
 
-void SubsetPeeler::Delete(VertexId u, VertexId k) {
+void SubsetPeeler::Delete(VertexId u, VertexId k, VertexList* removed) {
   queue_.assign(1, u);
-  Cascade(k);
+  Cascade(k, removed);
+}
+
+void SubsetPeeler::Restore(std::span<const VertexId> vertices) {
+  for (const VertexId v : vertices) member_epoch_[v] = epoch_;
 }
 
 std::size_t SubsetPeeler::MarkComponent(VertexId start) {

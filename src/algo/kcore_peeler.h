@@ -70,8 +70,15 @@ class SubsetPeeler {
   bool Contains(VertexId v) const { return member_epoch_[v] == epoch_; }
 
   /// Deletes `u` from the working set (a no-op if absent) and cascades
-  /// every vertex whose induced degree drops below k.
-  void Delete(VertexId u, VertexId k);
+  /// every vertex whose induced degree drops below k. When `removed` is
+  /// given, every vertex this call takes out is appended to it.
+  void Delete(VertexId u, VertexId k, VertexList* removed = nullptr);
+
+  /// Puts `vertices` back into the working set without recounting induced
+  /// degrees, so only Contains and ComponentOf are meaningful until the
+  /// next Load. Replaying a Delete log backwards this way rebuilds each
+  /// earlier working set.
+  void Restore(std::span<const VertexId> vertices);
 
   /// Component of working-set vertex `u`, sorted.
   VertexList ComponentOf(VertexId u);
@@ -81,8 +88,9 @@ class SubsetPeeler {
   void Stamp(std::span<const VertexId> members);
 
   /// Drains queue_: removes each queued working-set vertex and queues the
-  /// neighbours whose induced degree drops below k.
-  void Cascade(VertexId k);
+  /// neighbours whose induced degree drops below k. Appends each removed
+  /// vertex to `removed` when it is not null.
+  void Cascade(VertexId k, VertexList* removed = nullptr);
 
   /// Stamps the working-set component of `start` with a fresh visit stamp
   /// and leaves its vertices in queue_ (BFS order). Returns its size.

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "algo/kcore_peeler.h"
 #include "core/naive_search.h"
@@ -14,25 +16,13 @@ namespace ticl {
 
 namespace {
 
-/// Replays the min-weight peel over `members` (a k-core): repeatedly
-/// deletes the surviving vertex u that comes first in `order` (members by
-/// (weight, id)) and cascades. Appends u's component, taken just before
-/// u's deletion, for every step >= first_wanted. Returns the step count.
-std::size_t MinPeel(SubsetPeeler* peeler, const VertexList& members,
-                    const VertexList& order, VertexId k,
-                    std::size_t first_wanted, std::vector<VertexList>* out) {
-  peeler->Load(members, k);
-  std::size_t step = 0;
-  for (const VertexId u : order) {
-    if (!peeler->Contains(u)) continue;
-    if (step++ >= first_wanted) out->push_back(peeler->ComponentOf(u));
-    peeler->Delete(u, k);
-  }
-  return step;
-}
-
 /// Top-r (possibly nested) min communities within one already-peeled member
-/// set, appended to `out` via two peel passes.
+/// set, appended to `out`. One peel over `members` repeatedly deletes the
+/// surviving vertex that comes first by (weight, id) and cascades, logging
+/// what each step removed. The working set just before step s is every
+/// vertex removed at step s or later, so replaying the log backwards
+/// restores it, and step s's community is its deleted vertex's component
+/// there. Only the last `want` steps are restored.
 void MinTopRWithin(const Graph& g, SubsetPeeler* peeler,
                    const VertexList& members, const Query& query,
                    std::uint32_t want, std::vector<Community>* out,
@@ -43,18 +33,31 @@ void MinTopRWithin(const Graph& g, SubsetPeeler* peeler,
     if (g.weight(a) != g.weight(b)) return g.weight(a) < g.weight(b);
     return a < b;
   });
-  std::vector<VertexList> snapshots;
-  const std::size_t total_steps =
-      MinPeel(peeler, members, order, query.k, SIZE_MAX, &snapshots);
+  peeler->Load(members, query.k);
+  VertexList removed;  // every step's removals, in step order
+  removed.reserve(members.size());
+  // Where the last `want` steps start in `removed`: step s at
+  // step_begin[s % kept]. No peel has more steps than members, so a
+  // huge r costs no more than r = |members|.
+  const std::size_t kept = std::min<std::size_t>(want, members.size());
+  std::vector<std::size_t> step_begin(kept);
+  std::size_t steps = 0;
+  for (const VertexId u : order) {
+    if (!peeler->Contains(u)) continue;
+    step_begin[steps++ % kept] = removed.size();
+    peeler->Delete(u, query.k, &removed);
+  }
   ++stats->peel_operations;
-  if (total_steps == 0) return;
 
-  const std::size_t first_wanted =
-      total_steps > want ? total_steps - want : 0;
-  MinPeel(peeler, members, order, query.k, first_wanted, &snapshots);
-  ++stats->peel_operations;
-  for (VertexList& component : snapshots) {
-    out->push_back(MakeCommunity(g, std::move(component), query.aggregation));
+  const std::size_t first_wanted = steps > kept ? steps - kept : 0;
+  std::size_t end = removed.size();
+  for (std::size_t s = steps; s-- > first_wanted;) {
+    const std::size_t begin = step_begin[s % kept];
+    peeler->Restore(std::span<const VertexId>(removed).subspan(begin,
+                                                               end - begin));
+    end = begin;
+    out->push_back(MakeCommunity(g, peeler->ComponentOf(removed[begin]),
+                                 query.aggregation));
     ++stats->candidates_generated;
   }
 }

@@ -8,8 +8,10 @@
 // component containing the vertex, snapshotted just before its deletion, is
 // a maximal k-influential community whose influence is that vertex's
 // weight. Deletion values are non-decreasing, so the top-r communities are
-// the last r snapshots; a two-pass replay materializes only those,
-// keeping memory at O(r * |community|). Total time O(n log n + r(n + m)).
+// the last r snapshots. One peel logs what each step removed; replaying
+// the log backwards rebuilds the working set of each of the last r steps,
+// so only those snapshots are materialized. Total time
+// O(n log n + r(n + m)).
 //
 // max: a community's value is its maximum member weight, so every maximal
 // community is a whole k-core component; rank components by their maximum.

@@ -72,6 +72,28 @@ SolverKind AutoSolverFor(const Query& query) {
   return SolverKind::kLocalGreedy;
 }
 
+SolverKind ResolveSolver(const Query& query, SolverKind solver) {
+  return solver == SolverKind::kAuto ? AutoSolverFor(query) : solver;
+}
+
+bool PrefixStableSolver(const Query& query, SolverKind solver) {
+  switch (ResolveSolver(query, solver)) {
+    case SolverKind::kNaive:
+    case SolverKind::kImproved:
+    case SolverKind::kExact:
+    case SolverKind::kMinPeel:
+    case SolverKind::kMaxComponents:
+      return true;
+    case SolverKind::kAuto:  // resolved above
+    case SolverKind::kApprox:
+    case SolverKind::kLocalGreedy:
+    case SolverKind::kLocalRandom:
+      return false;
+  }
+  TICL_CHECK_MSG(false, "unknown solver kind");
+  return false;
+}
+
 SearchResult Solve(const Graph& g, const Query& query,
                    const SolveOptions& options) {
   // A CoreIndex seeds the solvers with precomputed k-cores; one built for a
@@ -84,9 +106,7 @@ SearchResult Solve(const Graph& g, const Query& query,
         options.core_index->fingerprint() == g.fingerprint(),
         "SolveOptions::core_index was built for a different graph");
   }
-  SolverKind solver = options.solver;
-  if (solver == SolverKind::kAuto) solver = AutoSolverFor(query);
-  switch (solver) {
+  switch (ResolveSolver(query, options.solver)) {
     case SolverKind::kAuto:
       break;  // unreachable
     case SolverKind::kNaive:

@@ -75,6 +75,20 @@ SearchResult Solve(const Graph& g, const Query& query,
 /// The solver kAuto would select for this query.
 SolverKind AutoSolverFor(const Query& query);
 
+/// `solver`, with kAuto resolved for `query`.
+SolverKind ResolveSolver(const Query& query, SolverKind solver);
+
+/// True when `solver` (kAuto resolved) answers `query` from a ranking that
+/// does not depend on r, so its top-r is the r-prefix of its top-R (the
+/// progressive property of Bi et al.) up to ties at the cut: improved
+/// search at epsilon = 0, naive search, exact enumeration, the min peel
+/// and the max components, in TIC and TONIC mode. The exact solvers rank
+/// every community by (influence desc, member hash); the min peel takes
+/// the last peel steps and greedy TONIC its rounds in order, and both
+/// sequences are non-increasing in influence. Approximate and local
+/// search are not: their pruning and seeding depend on r.
+bool PrefixStableSolver(const Query& query, SolverKind solver);
+
 }  // namespace ticl
 
 #endif  // TICL_CORE_SEARCH_H_

@@ -31,10 +31,56 @@ EngineResponse Answered(CachedAnswer answer, bool cache_hit,
                         double solve_seconds) {
   EngineResponse response;
   response.result = std::move(answer.result);
-  response.communities_json = std::move(answer.communities_json);
+  response.bytes_owner = std::move(answer.communities_json);
+  response.communities = answer.communities;
   response.cache_hit = cache_hit;
   response.solve_seconds = solve_seconds;
   return response;
+}
+
+/// The least r a cache-filling solve of the min peel (TIC) runs at. The
+/// min peel costs nearly the same whatever r is: it peels the whole
+/// k-core once and ranks the last steps. On the 64k-vertex delta-churn
+/// graph it took 8.4 ms at r = 3 and 10.1 ms at r = 32 at k = 4
+/// (BENCH_e2e.json, section prefix_cache, solve_floor_probe), so one
+/// solve at 32 answers every r up to 32 for about 20% more than one.
+/// The gain holds only where the influences at the cut differ: a tied
+/// cut is solved again at r (see Run). Every other solver solves at r:
+/// the work of improved and naive search grows with r, and the max and
+/// TONIC components have no workload that pages through r to measure a
+/// floor against.
+constexpr std::uint32_t kMinPeelSolveFloor = 32;
+
+/// Prefix keys whose floor solve tied at the cut it was asked for are
+/// remembered, up to this many (then forgotten all at once), so their
+/// later misses solve once at r instead of at the floor and again at r.
+constexpr std::size_t kMaxTiedFloorKeys = 1024;
+
+bool FloorApplies(const Query& query, SolverKind solver) {
+  return ResolveSolver(query, solver) == SolverKind::kMinPeel &&
+         !query.non_overlapping;
+}
+
+/// Formats the reply bytes of `result`, an answer at `solved_r`, once, on
+/// the solving thread: the cache entry, every later hit and every
+/// coalesced waiter share them.
+SolvedAnswer FormatSolved(std::shared_ptr<const SearchResult> result,
+                          std::uint32_t solved_r) {
+  SolvedAnswer solved;
+  solved.solved_r = solved_r;
+  CachedAnswer& answer = solved.answer;
+  answer.communities_json = std::make_shared<const std::string>(
+      FormatCommunitiesJson(*result, &solved.community_ends));
+  answer.communities = *answer.communities_json;
+  answer.result = std::move(result);
+  return solved;
+}
+
+SolvedAnswer SolveAndFormat(const Graph& g, const Query& query,
+                            const SolveOptions& options) {
+  return FormatSolved(
+      std::make_shared<const SearchResult>(Solve(g, query, options)),
+      query.r);
 }
 
 /// ValidateSolveOptions plus what only the engine forbids: parallel local
@@ -59,7 +105,7 @@ ResultCacheOptions CacheOptionsFor(const EngineOptions& options) {
 
 }  // namespace
 
-std::string CanonicalQueryKey(const Query& query) {
+std::string CanonicalQueryKey(const Query& query, bool any_r) {
   // Inactive parameters must not split the key space: alpha only matters
   // under sum-surplus, beta only under weight density.
   const double alpha = query.aggregation.kind == Aggregation::kSumSurplus
@@ -68,10 +114,12 @@ std::string CanonicalQueryKey(const Query& query) {
   const double beta = query.aggregation.kind == Aggregation::kWeightDensity
                           ? query.aggregation.beta
                           : 0.0;
+  char r[16] = "*";
+  if (!any_r) std::snprintf(r, sizeof(r), "%u", query.r);
   char buffer[160];
   std::snprintf(buffer, sizeof(buffer),
-                "k=%u;r=%u;s=%u;no=%d;f=%d;a=%.17g;b=%.17g", query.k,
-                query.r, query.size_limit, query.non_overlapping ? 1 : 0,
+                "k=%u;r=%s;s=%u;no=%d;f=%d;a=%.17g;b=%.17g", query.k, r,
+                query.size_limit, query.non_overlapping ? 1 : 0,
                 static_cast<int>(query.aggregation.kind), alpha, beta);
   return buffer;
 }
@@ -186,39 +234,69 @@ std::string QueryEngine::Validate(const Query& query) const {
 }
 
 EngineResponse QueryEngine::Run(const Query& query) {
-  const std::string key = CanonicalQueryKey(query);
+  // A prefix-stable solver's entry is keyed without r and answers every r
+  // its prefix rule allows. The key with r names this exact query: it is
+  // the coalescing key, and the cache key of every other query and of an
+  // answer a tie at the cut keeps from being served as a prefix. A hit
+  // needs only the first, so the second is built when it is needed.
+  const bool prefix_stable =
+      PrefixStableSolver(query, base_solve_options_.solver);
+  const std::string key = CanonicalQueryKey(query, /*any_r=*/prefix_stable);
+  std::string exact_key_storage;
+  const auto exact_key = [&]() -> const std::string& {
+    if (!prefix_stable) return key;
+    if (exact_key_storage.empty()) exact_key_storage = CanonicalQueryKey(query);
+    return exact_key_storage;
+  };
   std::shared_ptr<const ServingState> state;
   std::shared_ptr<PendingSolve> pending;
+  CachedAnswer hit;
   bool owner = false;
   std::uint64_t generation = 0;
+  // The key this call's solve fills, and the r it solves at.
+  const std::string* fill_key = &key;
+  std::uint32_t solve_r = query.r;
   {
     std::lock_guard<std::mutex> lock(mutex_);
     ++stats_.queries;
     state = state_;
     generation = generation_;
     if (cache_.enabled()) {
-      CachedAnswer cached = cache_.Lookup(key);
-      if (cached.result != nullptr) {
+      ResultCache::Found found = cache_.Lookup(key, query.r);
+      if (found.fit == PrefixFit::kTied) {
+        fill_key = &exact_key();
+        found = cache_.Lookup(*fill_key, query.r);
+      } else if (FloorApplies(query, base_solve_options_.solver) &&
+                 tied_floor_keys_.count(key) == 0) {
+        solve_r = std::max(query.r, kMinPeelSolveFloor);
+      }
+      if (found.answer.result != nullptr) {
         ++stats_.cache_hits;
-        return Answered(std::move(cached), true, 0.0);
+        if (query.r < found.solved_r) ++stats_.cache_prefix_hits;
+        hit = std::move(found.answer);
       }
     }
-    pending = cache_.FindPending(key);
-    if (pending != nullptr) {
-      ++stats_.cache_coalesced;
-    } else {
-      pending = std::make_shared<PendingSolve>();
-      cache_.AddPending(key, pending);
-      owner = true;
-      // With the cache disabled no answer can ever be cached; that is an
-      // `uncacheable` outcome, not a miss — every query must land in
-      // exactly one of the four counters.
-      if (cache_.enabled()) {
-        ++stats_.cache_misses;
+    if (hit.result == nullptr) {
+      pending = cache_.FindPending(exact_key());
+      if (pending != nullptr) {
+        ++stats_.cache_coalesced;
       } else {
-        ++stats_.cache_uncacheable;
+        pending = std::make_shared<PendingSolve>();
+        cache_.AddPending(exact_key(), pending);
+        owner = true;
+        // With the cache disabled no answer can ever be cached; that is
+        // an `uncacheable` outcome, not a miss — every query must land in
+        // exactly one of the four counters.
+        if (cache_.enabled()) {
+          ++stats_.cache_misses;
+        } else {
+          ++stats_.cache_uncacheable;
+        }
       }
     }
+  }
+  if (hit.result != nullptr) {
+    return Answered(TrimResult(std::move(hit), query.r), true, 0.0);
   }
   if (!owner) {
     // Another thread is already solving this exact query (possibly against
@@ -227,6 +305,10 @@ EngineResponse QueryEngine::Run(const Query& query) {
     return Answered(pending->future.get(), true, 0.0);
   }
 
+  // What this call fills the cache with: the answer at solve_r, plus the
+  // answer at r itself (under the exact key) when a tie at the cut keeps
+  // the first from serving r. The last one answers the caller.
+  std::vector<std::pair<const std::string*, SolvedAnswer>> fills;
   CachedAnswer answer;
   double solve_seconds = 0.0;
   try {
@@ -234,15 +316,26 @@ EngineResponse QueryEngine::Run(const Query& query) {
     // the same retirement path a throwing solver would.
     if (solve_started_hook_for_test_) solve_started_hook_for_test_();
     const WallTimer timer;
-    auto result = std::make_shared<const SearchResult>(
-        Solve(*state->graph, query, state->solve));
+    Query solve_query = query;
+    solve_query.r = solve_r;
+    fills.emplace_back(fill_key, SolveAndFormat(*state->graph, solve_query,
+                                                state->solve));
+    SolvedAnswer& first = fills.back().second;
+    if (FitPrefix(*first.answer.result, solve_r, query.r) ==
+        PrefixFit::kTied) {
+      fills.emplace_back(&exact_key(),
+                         SolveAndFormat(*state->graph, query, state->solve));
+    } else if (solve_r > query.r && !cache_.Admits(*first.answer.result)) {
+      // The floor's longer answer can never be cached; cache the answer
+      // at r instead, as a solve at r would have.
+      first = FormatSolved(TrimResult(first.answer, query.r).result, query.r);
+    }
     solve_seconds = timer.ElapsedSeconds();
-    // The reply bytes are formatted here, once, on the solving thread:
-    // the cache entry, every later hit and every coalesced waiter share
-    // them.
-    answer.communities_json =
-        std::make_shared<const std::string>(FormatCommunitiesJson(*result));
-    answer.result = std::move(result);
+    const SolvedAnswer& solved = fills.back().second;
+    answer = solved.answer;
+    answer.communities = CutCommunities(*answer.communities_json,
+                                        solved.community_ends, query.r);
+    answer = TrimResult(std::move(answer), query.r);
   } catch (...) {
     // Solve normally aborts on contract violations, but allocation (or a
     // future solver) can throw. Retire the pending entry and fail its
@@ -250,23 +343,35 @@ EngineResponse QueryEngine::Run(const Query& query) {
     // later query.
     {
       std::lock_guard<std::mutex> lock(mutex_);
-      cache_.RemovePending(key, pending);
+      cache_.RemovePending(exact_key(), pending);
     }
     pending->promise.set_exception(std::current_exception());
     throw;
   }
   {
     std::lock_guard<std::mutex> lock(mutex_);
-    cache_.RemovePending(key, pending);
+    cache_.RemovePending(exact_key(), pending);
+    if (fills.size() > 1) {
+      // The floor's answer tied at this query's cut, so it took two
+      // solves. The weights that tied are likely to tie again after the
+      // next delta: this key's later misses solve once, at r.
+      if (tied_floor_keys_.size() >= kMaxTiedFloorKeys) {
+        tied_floor_keys_.clear();
+      }
+      tied_floor_keys_.insert(key);
+    }
     // A result computed against a retired generation must not seed the
     // cache: the delta may have changed this very answer (it stays a
     // plain miss — it did answer its caller).
     if (cache_.enabled() && generation == generation_) {
-      if (cache_.Insert(key, MetaFor(query), answer) ==
-          ResultCache::InsertOutcome::kUncacheable) {
-        // Reclassify: this solve's answer can never be cached (its charge
-        // alone exceeds the whole budget), which the miss counter claimed
-        // optimistically at lookup time.
+      ResultCache::InsertOutcome outcome{};
+      for (auto& [target, solved] : fills) {
+        outcome = cache_.Insert(*target, MetaFor(query), std::move(solved));
+      }
+      if (outcome == ResultCache::InsertOutcome::kUncacheable) {
+        // Reclassify: the answer this call returns can never be cached
+        // (its charge alone exceeds the whole budget), which the miss
+        // counter claimed optimistically at lookup time.
         --stats_.cache_misses;
         ++stats_.cache_uncacheable;
       }

@@ -32,9 +32,26 @@
 // answer is exactly what a direct Solve() on the same graph would return —
 // the index only removes the per-query re-peel, it never changes the
 // candidate stream — which the serve tests assert result-for-result.
-// Concurrent misses on the same canonical key are coalesced: the first
-// runs Solve, the rest block on its pending future instead of repeating
-// seconds of graph work.
+// Concurrent misses on the same canonical key (r included) are
+// coalesced: the first runs Solve, the rest block on its pending future
+// instead of repeating seconds of graph work.
+//
+// One solve serves every r <= R. For the prefix-stable solvers
+// (PrefixStableSolver: improved search at epsilon 0, naive, exact, min
+// peel, max components, in TIC and TONIC mode) the cache key leaves r out
+// and a hit may be the first r communities of an entry solved at a larger
+// R, under the strict gap rule in serve/result_cache.h; a tie at the cut
+// makes the query solve at its own r. When the answer will be cached, a
+// miss of the min peel (TIC) solves at R = max(r, 32): its cost is nearly
+// flat in r (8.4 ms at r = 3 and 10.1 ms at r = 32 at k = 4 on the
+// 64k-vertex delta-churn graph), so one solve at 32 replaces the solves
+// at 3, 5 and 8 that a client paging through results sends. The gain
+// assumes no tie in influence at the cut. When the answer at 32 ties at
+// r, r is solved again, and the key is remembered so that its later
+// misses solve once, at r, as they would without the floor. Every other
+// solver solves at r. When the answer at 32 alone exceeds the cache
+// budget, the answer at r is cached instead. With the cache disabled
+// every query solves at its own r.
 //
 // Thread safety: every public method is safe to call concurrently.
 // Results are handed out as shared_ptr<const SearchResult> together with
@@ -54,6 +71,8 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "core/query.h"
@@ -139,6 +158,9 @@ struct EngineStats {
   std::uint64_t cache_charge = 0;
   /// Completed ApplyDelta() calls.
   std::uint64_t deltas_applied = 0;
+  /// Hits answered from an entry solved at a larger r (the first r
+  /// communities of a prefix-stable answer) — a subset of cache_hits.
+  std::uint64_t cache_prefix_hits = 0;
 };
 
 /// One counter of a stats struct: its wire name and where it lives.
@@ -165,23 +187,31 @@ inline constexpr StatsField<EngineStats> kEngineStatsFields[] = {
     {"cache_partial_evicted", &EngineStats::cache_partial_evicted},
     {"cache_charge", &EngineStats::cache_charge},
     {"deltas_applied", &EngineStats::deltas_applied},
+    {"cache_prefix_hits", &EngineStats::cache_prefix_hits},
 };
 static_assert(sizeof(EngineStats) ==
                   std::size(kEngineStatsFields) * sizeof(std::uint64_t),
               "every EngineStats counter needs a kEngineStatsFields entry");
 
-/// One answered query. `result` and `communities_json` (the result's
-/// FormatCommunitiesJson bytes, formatted once by the call that solved
-/// it) are shared with the cache and with coalesced waiters — never
-/// mutated after construction. `cache_hit` is true when no Solve ran for
-/// this call (a resident entry or a coalesced in-flight miss served it);
-/// `solve_seconds` is the time this call spent in Solve(), 0 on a hit.
-/// `error` is only ever non-empty on the callback Submit path: it
-/// carries the message of an exception Run() threw (result is null
-/// then). The future/Run paths propagate exceptions instead.
+/// One answered query. `result` holds at most r communities, as Solve()
+/// at the query's r would return them, and `communities` views exactly
+/// their FormatCommunitiesJson bytes, whole or cut at a community end,
+/// ready for FormatResultLine / AppendCommunitiesJson. Both are shared
+/// with the cache and with coalesced waiters — never mutated after
+/// construction. `bytes_owner` only keeps the bytes `communities` views
+/// alive: they were formatted once by the call that solved the answer,
+/// and may hold more communities than `result` (a prefix-stable entry
+/// solved at a larger r), so never read them through it.
+/// `cache_hit` is true when no Solve ran for this call (a resident entry
+/// or a coalesced in-flight miss served it); `solve_seconds` is the time
+/// this call spent in Solve(), 0 on a hit. `error` is only ever non-empty
+/// on the callback Submit path: it carries the message of an exception
+/// Run() threw (result is null then). The future/Run paths propagate
+/// exceptions instead.
 struct EngineResponse {
   std::shared_ptr<const SearchResult> result;
-  std::shared_ptr<const std::string> communities_json;
+  std::string_view communities;
+  std::shared_ptr<const std::string> bytes_owner;
   bool cache_hit = false;
   double solve_seconds = 0.0;
   std::string error;
@@ -195,11 +225,16 @@ enum class SnapshotLoadMode {
   kMmap,
 };
 
-/// Canonical cache key: two queries map to the same key iff Solve() treats
-/// them identically (inactive aggregation parameters are normalized away,
-/// e.g. alpha is only part of the key under sum-surplus). Exposed for the
-/// tests and for external sharding layers that need a stable query hash.
-std::string CanonicalQueryKey(const Query& query);
+/// Canonical cache key: inactive aggregation parameters are normalized
+/// away (e.g. alpha is only part of the key under sum-surplus). By default
+/// two queries map to the same key iff Solve() treats them identically.
+/// With `any_r` the key leaves r out and names the query's whole ranking:
+/// queries that differ only in r share it, which is sound for the solvers
+/// PrefixStableSolver admits, whose top-r is the r-prefix of their top-R
+/// up to ties at the cut (see FitPrefix in serve/result_cache.h). Exposed
+/// for the tests and for external sharding layers that need a stable
+/// query hash.
+std::string CanonicalQueryKey(const Query& query, bool any_r = false);
 
 class QueryEngine {
  public:
@@ -324,6 +359,10 @@ class QueryEngine {
   /// cache itself is deliberately unsynchronized).
   ResultCache cache_;
   EngineStats stats_;
+  /// Prefix keys of the min peel whose floor solve tied at the cut it was
+  /// asked for; their misses solve at r (see kMaxTiedFloorKeys in
+  /// engine.cc for the bound). Guarded by mutex_.
+  std::unordered_set<std::string> tied_floor_keys_;
 
   /// Serializes ApplyDelta callers (mutex_ alone can't: the rebuild runs
   /// outside it so queries keep flowing).

@@ -547,7 +547,8 @@ bool ParseQueryLine(const std::string& line, std::size_t line_number,
   return true;
 }
 
-std::string FormatCommunitiesJson(const SearchResult& result) {
+std::string FormatCommunitiesJson(const SearchResult& result,
+                                  std::vector<std::size_t>* community_ends) {
   const std::vector<Community>& communities = result.communities;
   char influence[kMaxInfluenceChars];
   std::size_t size = 2;  // "[" and "]"
@@ -566,6 +567,10 @@ std::string FormatCommunitiesJson(const SearchResult& result) {
   std::string out(size, '\0');
   char* at = out.data();
   char* const end = at + size;
+  if (community_ends != nullptr) {
+    community_ends->clear();
+    community_ends->reserve(communities.size());
+  }
   *at++ = '[';
   for (std::size_t i = 0; i < communities.size(); ++i) {
     const VertexList& members = communities[i].members;
@@ -578,10 +583,22 @@ std::string FormatCommunitiesJson(const SearchResult& result) {
       at = std::to_chars(at, end, members[j]).ptr;
     }
     at = Put(at, kCommunityClose);
+    if (community_ends != nullptr) {
+      community_ends->push_back(static_cast<std::size_t>(at - out.data()));
+    }
   }
   *at++ = ']';
   TICL_CHECK(at == end);
   return out;
+}
+
+void AppendCommunitiesJson(std::string* out,
+                           std::string_view communities_json) {
+  TICL_CHECK(!communities_json.empty());
+  out->append(communities_json);
+  // A whole array ends in ']'; a prefix cut at a community end ends in
+  // that community's closing '}'.
+  if (communities_json.back() == '}') out->push_back(']');
 }
 
 std::string FormatResultLine(const std::string& id_json, const Query& query,
@@ -608,13 +625,14 @@ std::string FormatResultLine(const std::string& id_json, const Query& query,
   out.reserve(kIdOpen.size() + id_json.size() + kQueryOpen.size() +
               query_json.size() + kCachedOpen.size() + flag.size() +
               kSecondsOpen.size() + seconds_json.size() +
-              kCommunitiesOpen.size() + communities_json.size() +
+              kCommunitiesOpen.size() + communities_json.size() + 1 +
               kLineClose.size());
   out.append(kIdOpen).append(id_json);
   out.append(kQueryOpen).append(query_json);
   out.append(kCachedOpen).append(flag);
   out.append(kSecondsOpen).append(seconds_json);
-  out.append(kCommunitiesOpen).append(communities_json);
+  out.append(kCommunitiesOpen);
+  AppendCommunitiesJson(&out, communities_json);
   out.append(kLineClose);
   return out;
 }

@@ -34,6 +34,7 @@
 #include <cstddef>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "core/query.h"
 #include "core/result.h"
@@ -94,12 +95,25 @@ bool ParseQueryLine(const std::string& line, std::size_t line_number,
 /// [{"influence": 42, "members": [1, 2, 3]}, ...], influences as %.17g
 /// and ids as %u. The engine formats it once per solve and shares the
 /// bytes with every cache hit; tests compare the answer portion of a wire
-/// response byte-for-byte against an inline Solve() through it.
-std::string FormatCommunitiesJson(const SearchResult& result);
+/// response byte-for-byte against an inline Solve() through it. When
+/// `community_ends` is given it receives, per community, the offset just
+/// past its closing brace: bytes [0, ends[c - 1]) followed by "]" are
+/// exactly the array of the first c communities, so an answer for fewer
+/// communities is a cut of the bytes, not a re-format.
+std::string FormatCommunitiesJson(
+    const SearchResult& result,
+    std::vector<std::size_t>* community_ends = nullptr);
+
+/// Appends `communities_json`, a whole FormatCommunitiesJson array or a
+/// prefix of one cut at a community end, to *out as a whole array (a cut
+/// is closed with "]").
+void AppendCommunitiesJson(std::string* out,
+                           std::string_view communities_json);
 
 /// One result reply, newline-terminated, around already formatted
-/// communities bytes. `solve_seconds` is the time this request spent
-/// solving (0 when it was served from the cache or a coalesced solve).
+/// communities bytes (whole or cut, as AppendCommunitiesJson takes them).
+/// `solve_seconds` is the time this request spent solving (0 when it was
+/// served from the cache or a coalesced solve).
 std::string FormatResultLine(const std::string& id_json, const Query& query,
                              std::string_view communities_json,
                              double solve_seconds, bool cached);

@@ -21,10 +21,45 @@ std::size_t ResultCharge(const SearchResult& result) {
 
 }  // namespace
 
+PrefixFit FitPrefix(const SearchResult& result, std::uint32_t solved_r,
+                    std::uint32_t r) {
+  const std::vector<Community>& communities = result.communities;
+  if (r < communities.size()) {
+    return communities[r - 1].influence > communities[r].influence
+               ? PrefixFit::kServes
+               : PrefixFit::kTied;
+  }
+  return r == solved_r || communities.size() < solved_r
+             ? PrefixFit::kServes
+             : PrefixFit::kTooShort;
+}
+
+std::string_view CutCommunities(const std::string& communities_json,
+                                const std::vector<std::size_t>& community_ends,
+                                std::uint32_t r) {
+  if (r >= community_ends.size()) return communities_json;
+  return std::string_view(communities_json).substr(0, community_ends[r - 1]);
+}
+
+CachedAnswer TrimResult(CachedAnswer answer, std::uint32_t r) {
+  const SearchResult& whole = *answer.result;
+  if (whole.communities.size() <= r) return answer;
+  auto prefix = std::make_shared<SearchResult>();
+  prefix->communities.assign(whole.communities.begin(),
+                             whole.communities.begin() + r);
+  prefix->stats = whole.stats;
+  answer.result = std::move(prefix);
+  return answer;
+}
+
 ResultCache::ResultCache(const ResultCacheOptions& options)
     : member_budget_(options.member_budget),
       ttl_ms_(options.ttl_ms),
       clock_(options.clock_for_test) {}
+
+bool ResultCache::Admits(const SearchResult& result) const {
+  return ResultCharge(result) <= member_budget_;
+}
 
 std::chrono::steady_clock::time_point ResultCache::Now() const {
   return clock_ ? clock_() : std::chrono::steady_clock::now();
@@ -47,31 +82,54 @@ std::chrono::steady_clock::time_point ResultCache::ExpiryFromNow() const {
   return now + std::chrono::milliseconds(ttl_ms_);
 }
 
-CachedAnswer ResultCache::Lookup(const std::string& key) {
+ResultCache::Found ResultCache::Lookup(const std::string& key,
+                                      std::uint32_t r) {
+  Found found;
   const auto it = map_.find(key);
-  if (it == map_.end()) return {};
+  if (it == map_.end()) return found;
+  const SolvedAnswer& solved = it->second->solved;
   if (ttl_ms_ != 0 && Now() >= it->second->expires_at) {
     ++counters_.expired;
     EraseEntry(it->second);
-    return {};
+    return found;
   }
+  found.solved_r = solved.solved_r;
+  found.fit = FitPrefix(*solved.answer.result, solved.solved_r, r);
+  if (found.fit != PrefixFit::kServes) return found;
   lru_.splice(lru_.begin(), lru_, it->second);  // bump to MRU
-  const CachedAnswer& answer = it->second->answer;
-  if (answer.result->communities.empty()) ++counters_.negative_hits;
-  return answer;
+  found.answer = solved.answer;
+  found.answer.communities = CutCommunities(
+      *solved.answer.communities_json, solved.community_ends, r);
+  if (solved.answer.result->communities.empty()) ++counters_.negative_hits;
+  return found;
 }
 
-ResultCache::InsertOutcome ResultCache::Insert(
-    const std::string& key, const CacheEntryMeta& meta,
-    CachedAnswer answer) {
+ResultCache::InsertOutcome ResultCache::Insert(const std::string& key,
+                                               const CacheEntryMeta& meta,
+                                               SolvedAnswer solved) {
   TICL_CHECK_MSG(enabled(), "Insert on a disabled cache");
+  const CachedAnswer& answer = solved.answer;
   TICL_CHECK_MSG(
       answer.result != nullptr && answer.communities_json != nullptr,
       "cannot cache a null result or null bytes");
-  if (map_.find(key) != map_.end()) return InsertOutcome::kDuplicate;
+  TICL_CHECK_MSG(answer.communities.size() == answer.communities_json->size(),
+                 "cache the whole answer, not a cut of it");
+  TICL_CHECK_MSG(
+      solved.community_ends.size() == answer.result->communities.size(),
+      "one community end per community");
+  const auto it = map_.find(key);
+  if (it != map_.end()) {
+    const SolvedAnswer& incumbent = it->second->solved;
+    const bool exhausted =
+        incumbent.answer.result->communities.size() < incumbent.solved_r;
+    if (exhausted || incumbent.solved_r >= solved.solved_r) {
+      return InsertOutcome::kDuplicate;
+    }
+  }
   const std::size_t charge = ResultCharge(*answer.result);
   if (charge > member_budget_) return InsertOutcome::kUncacheable;
-  lru_.push_front(Entry{key, meta, std::move(answer), charge,
+  if (it != map_.end()) EraseEntry(it->second);
+  lru_.push_front(Entry{key, meta, std::move(solved), charge,
                         ExpiryFromNow()});
   map_.emplace(key, lru_.begin());
   charge_ += charge;

@@ -15,6 +15,25 @@
 //   * the in-flight coalescing map — concurrent misses on one key share a
 //     single Solve through a PendingSolve future.
 //
+// One entry serves every r its ranking allows. The exact solvers, the
+// min peel and the max components rank by (influence desc, member hash),
+// an order that does not depend on r, so top-r is the r-prefix of top-R
+// (PrefixStableSolver in core/search.h). QueryEngine keys their entries
+// without r (CanonicalQueryKey(query, any_r)), and an entry records the R
+// it was solved at and where each community ends in its bytes. It serves
+// r with no solve when r == R, when the solve came back with fewer than R
+// communities (exhausted), or when r is below its size and influence[r-1]
+// > influence[r] strictly (FitPrefix). A prefix hit is a cut of the
+// shared bytes closed with "]" and a copy of the first r communities.
+// The strict gap is what makes the cut sound under ties: the min peel
+// answers "the last r peel steps, sorted" and greedy TONIC takes rounds in
+// order, so with tied influences at the cut an R-prefix can pick other
+// tied communities than a fresh r-solve. A tied r is solved and cached
+// under its exact key (with r) instead; Insert keeps the larger R when
+// two solves of one prefix key race. Approximate and local search keep r
+// in the key. The engine, not this module, decides the R a miss solves
+// at (its solve floor, see engine.h).
+//
 // The interesting part is invalidation. A GraphDelta does not perturb
 // every answer: a query at level k is computed entirely from the induced
 // subgraph on the maximal k-core's members plus those members' weights
@@ -58,7 +77,9 @@
 #include <list>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <unordered_map>
+#include <vector>
 
 #include "core/result.h"
 #include "graph/types.h"
@@ -138,13 +159,66 @@ struct DeltaImpact {
   }
 };
 
-/// One finished answer: the result and its "communities" reply bytes
-/// (FormatCommunitiesJson, formatted once when the solve finished). Both
-/// are shared, never copied per hit. A miss leaves both null.
+/// One answer: the result and its "communities" reply bytes. The bytes
+/// are FormatCommunitiesJson's, formatted once when the solve finished and
+/// shared, never copied per hit; `communities` views the part of them that
+/// answers `result`, which is all of them unless the answer is a prefix of
+/// a longer cached one (then a cut at a community end, see
+/// AppendCommunitiesJson). A miss leaves both pointers null.
 struct CachedAnswer {
   std::shared_ptr<const SearchResult> result;
   std::shared_ptr<const std::string> communities_json;
+  std::string_view communities;
 };
+
+/// A whole answer as a solve produced it, which is what the cache stores:
+/// `answer.communities` views all of its bytes, `community_ends` are
+/// FormatCommunitiesJson's, and `solved_r` is the r it was solved at.
+/// Fewer communities than solved_r means the solver ran out (exhausted).
+struct SolvedAnswer {
+  CachedAnswer answer;
+  std::vector<std::size_t> community_ends;
+  std::uint32_t solved_r = 0;
+};
+
+/// How a solved answer relates to a request for r communities.
+enum class PrefixFit {
+  /// The answer's first min(r, size) communities are what a fresh solve
+  /// at r returns.
+  kServes,
+  /// r is above the r the answer was solved at, and that solve found as
+  /// many communities as it was asked for: more may exist.
+  kTooShort,
+  /// Communities r and r + 1 tie in influence, so the cut at r may pick
+  /// different tied communities than a fresh solve at r would.
+  kTied,
+};
+
+/// The prefix rule, for an answer of a prefix-stable solver
+/// (PrefixStableSolver) solved at `solved_r`: it serves r when r ==
+/// solved_r, when the solve came back with fewer than solved_r
+/// communities (every community there is, so any r sees the same list),
+/// or when r is below its size and influence[r - 1] > influence[r]
+/// strictly. Those solvers rank by (influence desc, member hash), which
+/// does not depend on r; but the min peel answers "the last r peel steps,
+/// sorted", and greedy TONIC takes rounds in order, so with tied weights
+/// at the cut an R-prefix can differ from a fresh r-solve. A strict gap
+/// rules that out: the r communities above it are the only ones of their
+/// influence or more.
+PrefixFit FitPrefix(const SearchResult& result, std::uint32_t solved_r,
+                    std::uint32_t r);
+
+/// The bytes of the first r communities of `communities_json`, a whole
+/// FormatCommunitiesJson array with the given community ends: all of it
+/// when it holds no more than r, else the cut at community_ends[r - 1].
+std::string_view CutCommunities(const std::string& communities_json,
+                                const std::vector<std::size_t>& community_ends,
+                                std::uint32_t r);
+
+/// `answer` with its result trimmed to the first r communities when it
+/// holds more: a copy of those communities, the solver stats riding
+/// along. The bytes view is left as it is (cut it with CutCommunities).
+CachedAnswer TrimResult(CachedAnswer answer, std::uint32_t r);
 
 /// A cache miss in flight: later arrivals for the same key wait on the
 /// future instead of re-running Solve, and receive the owner's bytes.
@@ -164,26 +238,48 @@ class ResultCache {
   /// Insert and account the query as uncacheable.
   bool enabled() const { return member_budget_ > 0; }
 
-  /// Resident entry for `key`, bumped to MRU — or a null answer on a
-  /// miss. An entry past its TTL is erased, counted in
-  /// counters().expired, and reported as a miss.
-  CachedAnswer Lookup(const std::string& key);
+  /// False when Insert would refuse `result` as kUncacheable: its charge
+  /// alone exceeds the whole budget. Reads only the fixed budget, so it
+  /// needs no lock.
+  bool Admits(const SearchResult& result) const;
+
+  /// What Lookup found for a request of r communities.
+  struct Found {
+    /// Set when the resident entry serves r: the shared answer with its
+    /// bytes view already cut to r communities, but its `result` still
+    /// the whole cached one. TrimResult finishes it, outside any lock the
+    /// caller holds. Null pointers otherwise.
+    CachedAnswer answer;
+    /// The r the entry was solved at (0 when nothing is resident).
+    std::uint32_t solved_r = 0;
+    /// FitPrefix's verdict on the resident entry (kTooShort when there is
+    /// none).
+    PrefixFit fit = PrefixFit::kTooShort;
+  };
+
+  /// Looks up `key` for a request of r communities. A resident entry that
+  /// serves r (FitPrefix) is bumped to MRU. An entry past its TTL is
+  /// erased, counted in counters().expired, and reported as absent.
+  Found Lookup(const std::string& key, std::uint32_t r);
 
   enum class InsertOutcome {
     kInserted,
-    /// The key is already resident (racing path won); incumbent kept.
+    /// The key is already resident with an answer at least as long
+    /// (solved at an r as large, or exhausted); incumbent kept.
     kDuplicate,
     /// The result's charge alone exceeds the whole budget: caching it
     /// would evict everything and still not fit.
     kUncacheable,
   };
 
-  /// Inserts and runs the LRU budget sweep. Neither pointer of `answer`
-  /// may be null (a negative answer is an empty result formatted as
-  /// "[]", not a null one). The charge counts members only; the bytes
-  /// ride along.
+  /// Inserts and runs the LRU budget sweep. A resident entry for `key` is
+  /// replaced only by a solve at a larger r, and never once it is
+  /// exhausted, so racing solves of one prefix key keep the longer
+  /// answer. Neither pointer of `solved.answer` may be null (a negative
+  /// answer is an empty result formatted as "[]", not a null one). The
+  /// charge counts members only; the bytes ride along.
   InsertOutcome Insert(const std::string& key, const CacheEntryMeta& meta,
-                       CachedAnswer answer);
+                       SolvedAnswer solved);
 
   /// Wholesale invalidation (the conservative fallback, and the disabled
   /// partial-invalidation path). Not counted as partial_evicted.
@@ -226,7 +322,7 @@ class ResultCache {
   struct Entry {
     std::string key;
     CacheEntryMeta meta;
-    CachedAnswer answer;
+    SolvedAnswer solved;
     std::size_t charge = 0;
     /// Entry is invalid at/after this instant (time_point::max() = never).
     std::chrono::steady_clock::time_point expires_at;
@@ -236,7 +332,7 @@ class ResultCache {
   std::chrono::steady_clock::time_point ExpiryFromNow() const;
   void EraseEntry(std::list<Entry>::iterator it);
 
-  std::size_t member_budget_;
+  const std::size_t member_budget_;
   std::uint64_t ttl_ms_;
   CacheClock clock_;
 

@@ -54,7 +54,7 @@ void AppendFields(std::string* out, const Stats& stats,
 std::string FormatAnswerLine(const std::string& id_json, const Query& query,
                              const EngineResponse& response) {
   if (response.result != nullptr) {
-    return FormatResultLine(id_json, query, *response.communities_json,
+    return FormatResultLine(id_json, query, response.communities,
                             response.solve_seconds, response.cache_hit);
   }
   return FormatErrorLine(id_json,

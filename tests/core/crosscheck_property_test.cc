@@ -1,6 +1,14 @@
 // Cross-implementation property tests: the three independent solvers for
 // monotone aggregations (Algorithm 1, Algorithm 2, and subset enumeration)
 // must agree on random graphs, and every solver's output must validate.
+// Algorithms 1 and 2 share SubsetPeeler::RemoveAndSplit, so only the
+// enumeration (which tests candidates with IsConnectedKCore) checks their
+// splits independently; the bead graphs below make deletions cut a
+// community into three or more parts.
+
+#include <algorithm>
+#include <initializer_list>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -13,6 +21,7 @@
 #include "core/verification.h"
 #include "gen/chung_lu.h"
 #include "gen/erdos_renyi.h"
+#include "graph/graph_builder.h"
 
 namespace ticl {
 namespace {
@@ -109,6 +118,67 @@ TEST_P(SumCrossCheckTest, ImprovedEqualsExactEnumerationOnTinyGraphs) {
       EXPECT_DOUBLE_EQ(improved.communities[i].influence,
                        exact.communities[i].influence)
           << "k=" << k << " rank " << i;
+    }
+  }
+}
+
+/// Cliques of the given sizes (the beads) plus one hub vertex joined to
+/// two vertices of each bead, with seeded uniform weights. Deleting the
+/// hub, or a cascade that takes it out, cuts the rest into one part per
+/// bead. With `light_hub` the hub is the lightest vertex, so improved
+/// search tries that deletion first.
+Graph HubWithBeads(std::initializer_list<VertexId> bead_sizes,
+                   std::uint64_t seed, bool light_hub) {
+  GraphBuilder builder;
+  VertexId next = 1;  // vertex 0 is the hub
+  for (const VertexId size : bead_sizes) {
+    for (VertexId a = 0; a < size; ++a) {
+      for (VertexId b = a + 1; b < size; ++b) {
+        builder.AddEdge(next + a, next + b);
+      }
+    }
+    builder.AddEdge(0, next);
+    builder.AddEdge(0, next + 1);
+    next += size;
+  }
+  Graph g = builder.Build();
+  AssignWeights(&g, WeightScheme::kUniform, seed);
+  if (light_hub) {
+    std::vector<Weight> weights(g.weights().begin(), g.weights().end());
+    weights[0] = *std::min_element(weights.begin(), weights.end()) / 2;
+    g.SetWeights(std::move(weights));
+  }
+  return g;
+}
+
+TEST_P(SumCrossCheckTest, ImprovedEqualsExactWhereDeletionsCutThreeWays) {
+  const std::uint64_t seed = GetParam();
+  struct Case {
+    std::initializer_list<VertexId> beads;
+    VertexId k;
+  };
+  // n <= 19: K5 beads at k = 4 (the hub has degree 6), unequal beads at
+  // k = 3 so the searches around a cascade exhaust at different times.
+  const Case cases[] = {{{5, 5, 5}, 4}, {{4, 5, 6}, 3}, {{4, 4, 4, 5}, 3}};
+  for (const Case& c : cases) {
+    for (const bool light_hub : {false, true}) {
+      const Graph g = HubWithBeads(c.beads, seed, light_hub);
+      for (const std::uint32_t r : {3u, 6u}) {
+        Query query;
+        query.k = c.k;
+        query.r = r;
+        query.aggregation = AggregationSpec::Sum();
+        const std::string label =
+            "n=" + std::to_string(g.num_vertices()) + " k=" +
+            std::to_string(c.k) + " r=" + std::to_string(r) +
+            " light_hub=" + std::to_string(light_hub) +
+            " seed=" + std::to_string(seed);
+        const SearchResult exact = ExactSearch(g, query);
+        const SearchResult improved = ImprovedSearch(g, query);
+        ExpectSameCommunities(exact, improved, label);
+        ExpectSameCommunities(exact, NaiveSearch(g, query), label);
+        EXPECT_EQ(ValidateResult(g, query, improved), "") << label;
+      }
     }
   }
 }

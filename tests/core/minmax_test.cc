@@ -38,14 +38,17 @@ TEST(MinPeelTest, FixtureTopTwo) {
 
 TEST(MinPeelTest, FixtureFullFamily) {
   const Graph g = TwoTrianglesAndK4();
-  const SearchResult result = MinPeelSearch(g, MinQuery(2, 10));
-  ASSERT_EQ(result.communities.size(), 4u);
-  EXPECT_DOUBLE_EQ(result.communities[0].influence, 10.0);
-  EXPECT_DOUBLE_EQ(result.communities[1].influence, 5.0);
-  EXPECT_DOUBLE_EQ(result.communities[2].influence, 2.0);
-  EXPECT_DOUBLE_EQ(result.communities[3].influence, 1.0);
-  EXPECT_EQ(result.communities[2].members, Members({7, 8, 9}));
-  EXPECT_EQ(result.communities[3].members, Members({6, 7, 8, 9}));
+  // The largest r keeps no more peel steps than there are vertices.
+  for (const std::uint32_t r : {10u, 4294967295u}) {
+    const SearchResult result = MinPeelSearch(g, MinQuery(2, r));
+    ASSERT_EQ(result.communities.size(), 4u);
+    EXPECT_DOUBLE_EQ(result.communities[0].influence, 10.0);
+    EXPECT_DOUBLE_EQ(result.communities[1].influence, 5.0);
+    EXPECT_DOUBLE_EQ(result.communities[2].influence, 2.0);
+    EXPECT_DOUBLE_EQ(result.communities[3].influence, 1.0);
+    EXPECT_EQ(result.communities[2].members, Members({7, 8, 9}));
+    EXPECT_EQ(result.communities[3].members, Members({6, 7, 8, 9}));
+  }
 }
 
 TEST(MinPeelTest, NestedResultsAllowedInTic) {

@@ -1,9 +1,12 @@
 #include "serve/engine.h"
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
 #include <memory>
+#include <random>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -88,6 +91,13 @@ void ExpectIdentical(const SearchResult& a, const SearchResult& b,
   }
 }
 
+/// The communities array a response answers with, as the wire carries it.
+std::string AnswerBytes(const EngineResponse& response) {
+  std::string bytes;
+  AppendCommunitiesJson(&bytes, response.communities);
+  return bytes;
+}
+
 TEST(CanonicalQueryKeyTest, NormalizesInactiveParameters) {
   Query a;
   a.aggregation = AggregationSpec::Sum();
@@ -105,6 +115,28 @@ TEST(CanonicalQueryKeyTest, NormalizesInactiveParameters) {
   Query e = a;
   e.k = 3;
   EXPECT_NE(CanonicalQueryKey(a), CanonicalQueryKey(e));
+}
+
+TEST(CanonicalQueryKeyTest, AnyRLeavesOutOnlyR) {
+  Query a;
+  a.k = 3;
+  a.r = 2;
+  a.aggregation = AggregationSpec::Min();
+  Query b = a;
+  b.r = 9;
+  EXPECT_NE(CanonicalQueryKey(a), CanonicalQueryKey(b));
+  EXPECT_EQ(CanonicalQueryKey(a, /*any_r=*/true),
+            CanonicalQueryKey(b, /*any_r=*/true));
+  // Never the key of some exact query.
+  EXPECT_NE(CanonicalQueryKey(a, /*any_r=*/true), CanonicalQueryKey(a));
+  Query c = a;
+  c.k = 4;
+  EXPECT_NE(CanonicalQueryKey(a, /*any_r=*/true),
+            CanonicalQueryKey(c, /*any_r=*/true));
+  Query d = a;
+  d.non_overlapping = true;
+  EXPECT_NE(CanonicalQueryKey(a, /*any_r=*/true),
+            CanonicalQueryKey(d, /*any_r=*/true));
 }
 
 TEST(QueryEngineTest, MatchesDirectSolveSequentially) {
@@ -158,6 +190,7 @@ TEST(QueryEngineTest, ConcurrentSubmittersWithSharedCache) {
   // Warm the cache sequentially so every threaded run below is a
   // deterministic hit (capacity default comfortably exceeds the batch).
   for (const Query& q : queries) engine.Run(q);
+  const EngineStats warm = engine.stats();
 
   std::vector<std::thread> submitters;
   std::atomic<bool> failed{false};
@@ -176,7 +209,7 @@ TEST(QueryEngineTest, ConcurrentSubmittersWithSharedCache) {
   EXPECT_FALSE(failed.load());
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.queries, queries.size() * 5);
-  EXPECT_EQ(stats.cache_hits, queries.size() * 4);
+  EXPECT_EQ(stats.cache_hits - warm.cache_hits, queries.size() * 4);
   EXPECT_EQ(stats.cache_hits + stats.cache_misses, stats.queries);
 }
 
@@ -193,9 +226,10 @@ TEST(QueryEngineTest, CacheHitSharesTheResultObject) {
   EXPECT_EQ(first.result.get(), second.result.get());
   // The reply bytes were formatted once, by the miss, and the hit shares
   // them; only the miss reports solve time.
-  ASSERT_NE(first.communities_json, nullptr);
-  EXPECT_EQ(first.communities_json.get(), second.communities_json.get());
-  EXPECT_EQ(*first.communities_json, FormatCommunitiesJson(*first.result));
+  ASSERT_NE(first.bytes_owner, nullptr);
+  EXPECT_EQ(first.communities.data(), second.communities.data());
+  EXPECT_EQ(first.communities.data(), first.bytes_owner->data());
+  EXPECT_EQ(AnswerBytes(first), FormatCommunitiesJson(*first.result));
   EXPECT_GT(first.solve_seconds, 0.0);
   EXPECT_EQ(second.solve_seconds, 0.0);
 
@@ -208,11 +242,20 @@ TEST(QueryEngineTest, CacheHitSharesTheResultObject) {
 // Size-aware cache accounting on the hand-analyzed fixture. Under sum at
 // k = 2 the top communities are K4 (4 members), {7,8,9} (3), {6,8,9} (3),
 // {6,7,9} (3), {0..5} (6) — so the member charge of a top-r result is
-// r=1: 4, r=2: 7, r=3: 10, r=5: 19.
-TEST(QueryEngineTest, LruEvictsLeastRecentlyUsedBySize) {
+// r=1: 4, r=2: 7, r=3: 10, r=5: 19. These tests want one entry per r, so
+// they solve with kApprox at epsilon 0: the same answers as improved
+// search, but r stays in its cache key (it is not prefix-stable).
+EngineOptions OneEntryPerR(std::size_t budget) {
   EngineOptions options;
-  options.cache_member_budget = 14;
+  options.cache_member_budget = budget;
   options.num_threads = 1;
+  options.solve.solver = SolverKind::kApprox;
+  options.solve.epsilon = 0.0;
+  return options;
+}
+
+TEST(QueryEngineTest, LruEvictsLeastRecentlyUsedBySize) {
+  const EngineOptions options = OneEntryPerR(14);
   QueryEngine engine(TwoTrianglesAndK4(), options);
 
   Query a, b, c;
@@ -235,9 +278,7 @@ TEST(QueryEngineTest, LruEvictsLeastRecentlyUsedBySize) {
 }
 
 TEST(QueryEngineTest, SizeAwareCacheEvictsOneHugeResultBeforeManySmall) {
-  EngineOptions options;
-  options.cache_member_budget = 25;
-  options.num_threads = 1;
+  const EngineOptions options = OneEntryPerR(25);
   QueryEngine engine(TwoTrianglesAndK4(), options);
 
   Query huge;  // charge 19 — most of the budget
@@ -261,9 +302,7 @@ TEST(QueryEngineTest, SizeAwareCacheEvictsOneHugeResultBeforeManySmall) {
 }
 
 TEST(QueryEngineTest, ResultLargerThanBudgetIsServedUncached) {
-  EngineOptions options;
-  options.cache_member_budget = 5;
-  options.num_threads = 1;
+  const EngineOptions options = OneEntryPerR(5);
   QueryEngine engine(TwoTrianglesAndK4(), options);
 
   Query huge;  // charge 19 > budget: caching it would evict everything
@@ -417,9 +456,9 @@ TEST(QueryEngineTest, CoalescedWaitersReceiveTheOwnersBytes) {
   for (auto& future : futures) responses.push_back(future.get());
   int owners = 0;
   for (const EngineResponse& response : responses) {
-    ASSERT_NE(response.communities_json, nullptr);
-    EXPECT_EQ(response.communities_json.get(),
-              responses.front().communities_json.get());
+    ASSERT_NE(response.bytes_owner, nullptr);
+    EXPECT_EQ(response.communities.data(),
+              responses.front().communities.data());
     if (response.cache_hit) {
       EXPECT_EQ(response.solve_seconds, 0.0);
     } else {
@@ -428,7 +467,7 @@ TEST(QueryEngineTest, CoalescedWaitersReceiveTheOwnersBytes) {
     }
   }
   EXPECT_EQ(owners, 1);
-  EXPECT_EQ(*responses.front().communities_json,
+  EXPECT_EQ(AnswerBytes(responses.front()),
             FormatCommunitiesJson(*responses.front().result));
   const EngineStats stats = engine.stats();
   EXPECT_EQ(stats.cache_uncacheable, 1u);
@@ -904,7 +943,7 @@ TEST(QueryEngineDeltaTest, ChurnOracleCacheServedAnswersAreExact) {
       // what the current graph's answer formats to.
       if (response.cache_hit) {
         ++served_bytes_checked;
-        EXPECT_EQ(*response.communities_json, FormatCommunitiesJson(fresh))
+        EXPECT_EQ(AnswerBytes(response), FormatCommunitiesJson(fresh))
             << "round " << round << " query " << i;
         EXPECT_EQ(response.solve_seconds, 0.0);
       }
@@ -929,6 +968,270 @@ TEST(QueryEngineDeltaTest, ChurnOracleCacheServedAnswersAreExact) {
   EXPECT_EQ(stats.deltas_applied, static_cast<std::uint64_t>(kRounds));
   EXPECT_EQ(served_bytes_checked, stats.cache_hits);
   ExpectOutcomeInvariant(stats);
+}
+
+// -- Prefix serving ---------------------------------------------------------
+
+/// One prefix-stable solver configuration.
+struct PrefixCase {
+  SolverKind solver;
+  AggregationSpec aggregation;
+  VertexId k;
+  bool tonic;
+};
+
+std::vector<PrefixCase> PrefixCases() {
+  std::vector<PrefixCase> cases;
+  for (const bool tonic : {false, true}) {
+    cases.push_back({SolverKind::kAuto, AggregationSpec::Min(), 3, tonic});
+    cases.push_back({SolverKind::kAuto, AggregationSpec::Max(), 2, tonic});
+    cases.push_back({SolverKind::kAuto, AggregationSpec::Sum(), 4, tonic});
+    cases.push_back(
+        {SolverKind::kImproved, AggregationSpec::SumSurplus(0.5), 4, tonic});
+    cases.push_back({SolverKind::kNaive, AggregationSpec::Sum(), 4, tonic});
+    cases.push_back({SolverKind::kMinPeel, AggregationSpec::Min(), 2, tonic});
+    cases.push_back(
+        {SolverKind::kMaxComponents, AggregationSpec::Max(), 3, tonic});
+  }
+  return cases;
+}
+
+Query PrefixQuery(const PrefixCase& c, std::uint32_t r) {
+  Query q;
+  q.k = c.k;
+  q.r = r;
+  q.aggregation = c.aggregation;
+  q.non_overlapping = c.tonic;
+  return q;
+}
+
+/// Answers `q` through the engine and checks it against a fresh Solve()
+/// on `current`: the result and the bytes the wire would carry.
+EngineResponse RunAndCompare(QueryEngine* engine, const Graph& current,
+                             const Query& q, const SolveOptions& options,
+                             const std::string& label) {
+  EngineResponse response = engine->Run(q);
+  const SearchResult fresh = Solve(current, q, options);
+  ExpectIdentical(*response.result, fresh, q.r);
+  EXPECT_EQ(AnswerBytes(response), FormatCommunitiesJson(fresh))
+      << label << " r=" << q.r;
+  return response;
+}
+
+TEST(QueryEnginePrefixTest, ChurnOracleEveryPrefixStableSolverEveryR) {
+  // Every prefix-stable solver, TIC and TONIC: each round asks for r =
+  // R, then every r in 1..R+2 in a shuffled order, then a delta lands.
+  // Every answer — a prefix of a longer entry, a whole entry or a fresh
+  // solve — must equal a fresh Solve() at its own r on the current graph.
+  constexpr std::uint32_t kBigR = 6;
+  std::uint64_t prefix_hits = 0;
+  for (const PrefixCase& c : PrefixCases()) {
+    Graph g = WeightedChungLu(91, 400);
+    Graph current = g;
+    EngineOptions options;
+    options.num_threads = 1;
+    options.solve.solver = c.solver;
+    QueryEngine engine(std::move(g), options);
+    const std::string label = QueryToString(PrefixQuery(c, kBigR)) +
+                              " solver " + SolverKindName(c.solver);
+    std::mt19937_64 rng(c.k * 131 + (c.tonic ? 7 : 0));
+    std::string error;
+    for (int round = 0; round < 3; ++round) {
+      RunAndCompare(&engine, current, PrefixQuery(c, kBigR), options.solve,
+                    label);
+      std::vector<std::uint32_t> rs;
+      for (std::uint32_t r = 1; r <= kBigR + 2; ++r) rs.push_back(r);
+      std::shuffle(rs.begin(), rs.end(), rng);
+      for (const std::uint32_t r : rs) {
+        RunAndCompare(&engine, current, PrefixQuery(c, r), options.solve,
+                      label);
+      }
+      const GraphDelta delta = RandomDelta(current, /*seed=*/500 + round,
+                                           /*inserts=*/4, /*deletes=*/4,
+                                           /*weight_updates=*/2);
+      ASSERT_TRUE(engine.ApplyDelta(delta, &error)) << error;
+      current = ApplyDeltaToGraph(current, delta);
+    }
+    const EngineStats stats = engine.stats();
+    ExpectOutcomeInvariant(stats);
+    EXPECT_LE(stats.cache_prefix_hits, stats.cache_hits);
+    prefix_hits += stats.cache_prefix_hits;
+  }
+  EXPECT_GT(prefix_hits, 0u);
+}
+
+TEST(QueryEnginePrefixTest, TheMinPeelSolvesOnceForEverySmallR) {
+  // The min peel costs the same at any r, so a miss solves at the floor
+  // (32) and every later r up to it is a prefix hit.
+  Graph g = WeightedChungLu(93, 500);
+  const Graph reference = g;
+  EngineOptions options;
+  options.num_threads = 1;
+  QueryEngine engine(std::move(g), options);
+  const PrefixCase min_peel{SolverKind::kAuto, AggregationSpec::Min(), 3,
+                            false};
+  RunAndCompare(&engine, reference, PrefixQuery(min_peel, 3), {}, "min");
+  for (const std::uint32_t r : {5u, 8u, 1u, 20u}) {
+    EXPECT_TRUE(
+        RunAndCompare(&engine, reference, PrefixQuery(min_peel, r), {}, "min")
+            .cache_hit)
+        << r;
+  }
+  EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.cache_misses, 1u);
+  EXPECT_EQ(stats.cache_hits, 4u);
+  EXPECT_EQ(stats.cache_prefix_hits, 4u);
+
+  // Improved search's work grows with r: it solves at r itself, and a
+  // larger r replaces the entry.
+  const PrefixCase sum{SolverKind::kAuto, AggregationSpec::Sum(), 4, false};
+  RunAndCompare(&engine, reference, PrefixQuery(sum, 2), {}, "sum");
+  EXPECT_FALSE(engine.Run(PrefixQuery(sum, 3)).cache_hit);
+  EXPECT_TRUE(engine.Run(PrefixQuery(sum, 2)).cache_hit);
+  EXPECT_TRUE(engine.Run(PrefixQuery(sum, 3)).cache_hit);
+  stats = engine.stats();
+  EXPECT_EQ(stats.cache_misses, 3u);
+  EXPECT_EQ(stats.cache_prefix_hits, 5u);
+  ExpectOutcomeInvariant(stats);
+}
+
+/// Total member count of a fresh Solve() at r: the cache charge of its
+/// answer.
+std::size_t AnswerCharge(const Graph& g, const Query& q, std::uint32_t r,
+                         const SolveOptions& options = {}) {
+  Query at_r = q;
+  at_r.r = r;
+  std::size_t members = 0;
+  for (const Community& c : Solve(g, at_r, options).communities) {
+    members += c.members.size();
+  }
+  return std::max<std::size_t>(members, 1);
+}
+
+TEST(QueryEnginePrefixTest, OnlyTheTicMinPeelSolvesAtTheFloor) {
+  // Every other prefix-stable solver caches the answer at r itself: its
+  // entry is charged exactly the answer at r.
+  Graph g = WeightedChungLu(93, 500);
+  const Graph reference = g;
+  for (const PrefixCase& c : PrefixCases()) {
+    Graph copy = g;
+    EngineOptions options;
+    options.num_threads = 1;
+    options.solve.solver = c.solver;
+    QueryEngine engine(std::move(copy), options);
+    const Query q = PrefixQuery(c, 1);
+    const std::string label =
+        QueryToString(q) + " solver " + SolverKindName(c.solver);
+    RunAndCompare(&engine, reference, q, options.solve, label);
+    const bool floored =
+        ResolveSolver(q, c.solver) == SolverKind::kMinPeel && !c.tonic;
+    EXPECT_EQ(engine.stats().cache_charge,
+              AnswerCharge(reference, q, floored ? 32 : 1, options.solve))
+        << label;
+  }
+}
+
+TEST(QueryEnginePrefixTest, AKeyTiedAtTheFloorCutSolvesAtROnItsNextMiss) {
+  // Every weight equal: the min peel's answer at 32 ties at r = 3, so the
+  // first miss solves twice (at 32, then at 3). Once a delta has evicted
+  // both entries, the next miss of that key solves only at r = 3, and a
+  // larger r replaces the entry, as without the floor.
+  Graph g = WeightedChungLu(95, 400);
+  g.SetWeights(std::vector<Weight>(g.num_vertices(), 1.0));
+  Graph current = g;
+  EngineOptions options;
+  options.num_threads = 1;
+  QueryEngine engine(std::move(g), options);
+  const PrefixCase min_peel{SolverKind::kAuto, AggregationSpec::Min(), 3,
+                            false};
+  const Query q = PrefixQuery(min_peel, 3);
+  ASSERT_EQ(FitPrefix(Solve(current, PrefixQuery(min_peel, 32)), 32, 3),
+            PrefixFit::kTied);
+  RunAndCompare(&engine, current, q, {}, "min");
+  EXPECT_EQ(engine.stats().cache_charge,
+            AnswerCharge(current, q, 32) + AnswerCharge(current, q, 3));
+
+  // Reweighting a vertex of the top core (to the weight it has) evicts
+  // every level at or below its core number.
+  const std::span<const VertexId> core = engine.core_index().core_numbers();
+  const auto top = static_cast<VertexId>(
+      std::max_element(core.begin(), core.end()) - core.begin());
+  ASSERT_GE(core[top], q.k);
+  GraphDelta delta;
+  delta.weight_updates = {WeightUpdate{top, 1.0}};
+  std::string error;
+  ASSERT_TRUE(engine.ApplyDelta(delta, &error)) << error;
+  current = ApplyDeltaToGraph(current, delta);
+  EXPECT_EQ(engine.stats().cache_charge, 0u);
+
+  EXPECT_FALSE(RunAndCompare(&engine, current, q, {}, "min").cache_hit);
+  EXPECT_EQ(engine.stats().cache_charge, AnswerCharge(current, q, 3));
+  EXPECT_FALSE(
+      RunAndCompare(&engine, current, PrefixQuery(min_peel, 5), {}, "min")
+          .cache_hit);
+  EXPECT_EQ(engine.stats().cache_charge, AnswerCharge(current, q, 5));
+  // The entry at 5 ties at 3 as well: r = 3 is solved once more, at r,
+  // under its own key.
+  EXPECT_FALSE(RunAndCompare(&engine, current, q, {}, "min").cache_hit);
+  EXPECT_EQ(engine.stats().cache_charge,
+            AnswerCharge(current, q, 5) + AnswerCharge(current, q, 3));
+  ExpectOutcomeInvariant(engine.stats());
+}
+
+TEST(QueryEnginePrefixTest, FloorAnswerTooBigForTheBudgetCachesTheAnswerAtR) {
+  // The budget holds the answer at r = 3 but not the floor's answer at
+  // 32, so the miss caches the answer at r = 3, as it would without the
+  // floor, instead of leaving the query uncacheable.
+  Graph g = WeightedChungLu(93, 500);
+  const Graph reference = g;
+  const PrefixCase min_peel{SolverKind::kAuto, AggregationSpec::Min(), 3,
+                            false};
+  const Query q = PrefixQuery(min_peel, 3);
+  ASSERT_LT(AnswerCharge(reference, q, 3), AnswerCharge(reference, q, 32));
+  EngineOptions options;
+  options.num_threads = 1;
+  options.cache_member_budget = AnswerCharge(reference, q, 3);
+  QueryEngine engine(std::move(g), options);
+  EXPECT_FALSE(RunAndCompare(&engine, reference, q, {}, "min").cache_hit);
+  EXPECT_TRUE(RunAndCompare(&engine, reference, q, {}, "min").cache_hit);
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.cache_misses, 1u);
+  EXPECT_EQ(stats.cache_uncacheable, 0u);
+  EXPECT_EQ(stats.cache_prefix_hits, 0u);
+  ExpectOutcomeInvariant(stats);
+}
+
+TEST(QueryEnginePrefixTest, TiesAtTheCutForceASolveThatIsThenCached) {
+  // Every weight equal: min and max communities all tie, so most r < R
+  // cannot be cut from the R entry. They must be solved (and then hit
+  // from their own entry), and still equal a fresh solve.
+  Graph g = WeightedChungLu(95, 400);
+  g.SetWeights(std::vector<Weight>(g.num_vertices(), 1.0));
+  constexpr std::uint32_t kBigR = 6;
+  std::uint64_t forced = 0;
+  for (const PrefixCase& c : PrefixCases()) {
+    Graph copy = g;
+    EngineOptions options;
+    options.num_threads = 1;
+    options.solve.solver = c.solver;
+    QueryEngine engine(std::move(copy), options);
+    const std::string label = QueryToString(PrefixQuery(c, kBigR)) +
+                              " solver " + SolverKindName(c.solver);
+    RunAndCompare(&engine, g, PrefixQuery(c, kBigR), options.solve, label);
+    for (std::uint32_t r = 1; r <= kBigR; ++r) {
+      RunAndCompare(&engine, g, PrefixQuery(c, r), options.solve, label);
+    }
+    forced += engine.stats().cache_misses - 1;
+    // Second pass: everything is resident now, tied or not.
+    for (std::uint32_t r = 1; r <= kBigR; ++r) {
+      EXPECT_TRUE(RunAndCompare(&engine, g, PrefixQuery(c, r), options.solve,
+                                label)
+                      .cache_hit)
+          << label << " r=" << r;
+    }
+    ExpectOutcomeInvariant(engine.stats());
+  }
+  EXPECT_GT(forced, 0u);
 }
 
 // -- ApplyDelta TOCTOU ------------------------------------------------------

@@ -941,7 +941,8 @@ TEST(StatsSurfaceTest, EveryCounterReachesEverySurface) {
       "\"cache_uncacheable\": N, \"cache_negative_hits\": N, "
       "\"cache_expired\": N, \"cache_partial_kept\": N, "
       "\"cache_partial_evicted\": N, \"cache_charge\": N, "
-      "\"deltas_applied\": N}, \"server\": {\"connections\": N, "
+      "\"deltas_applied\": N, \"cache_prefix_hits\": N}, "
+      "\"server\": {\"connections\": N, "
       "\"in_flight\": N, \"connections_accepted\": N, "
       "\"connections_refused\": N, \"queries_submitted\": N, "
       "\"responses_sent\": N, \"responses_dropped\": N, "
